@@ -103,10 +103,21 @@ def _ratio(num, den):
 # -- end to end ---------------------------------------------------------------
 
 def end_to_end(setup_samples, passes, peak_rss_mb) -> dict:
+    """Times are at reference machine speed (bench/speed.py)."""
     return {
-        "setup_s": median(setup_samples),
+        "setup_s": median([s["setup_s"] for s in setup_samples]),
         "wall_s": median([p["wall_s"] for p in passes]),
         "peak_rss_mb": peak_rss_mb,
+    }
+
+
+def speed_figures(setup_samples, passes) -> dict:
+    """The measured times behind the end-to-end ones, and the machine's
+    slowdown during the passes."""
+    return {
+        "raw_setup_s": median([s["raw_setup_s"] for s in setup_samples]),
+        "raw_wall_s": median([p["raw_wall_s"] for p in passes]),
+        "slowdown": median([p["slowdown"] for p in passes]),
     }
 
 
@@ -137,7 +148,8 @@ def workload_figures(passes) -> dict:
 
 
 FIGURE_UNITS = {"train_ms_per_iter": "ms/iter", "eval_rows_per_s": "rows/s",
-                "ingest_rows_per_s": "rows/s", "target_mae": "label"}
+                "ingest_rows_per_s": "rows/s", "target_mae": "label",
+                "raw_setup_s": "s", "raw_wall_s": "s", "slowdown": "x"}
 
 
 def figure_unit(name: str) -> str:

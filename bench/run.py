@@ -1,6 +1,6 @@
 """Benchmark driver for the uga package.
 
-    python3 bench/run.py --workload cubic_shift --seed 0 --seconds 10 --trace 0
+    python3 bench/run.py --workload cubic_shift --seed 0 --seconds 20 --trace 0
     python3 bench/run.py --workload all --seed 0          # every workload
 
 Run from the repository root.  The package is imported from `src/`; no
@@ -77,38 +77,41 @@ def _print_metrics(title, values, unit_of):
 
 
 def _run_one(args) -> int:
-    t0 = time.perf_counter()
     sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
-    try:
-        import workloads as wl
-    except ImportError as e:
-        print(f"error: cannot import the uga package from {ROOT / 'src'}: {e}",
-              file=sys.stderr)
-        return 2
-    import report
+    import speed
 
     work = OUT / f"work-{os.getpid()}"
     try:
-        inputs = wl.make_inputs(args.workload, args.seed, work / "setup")
-        setup_main = time.perf_counter() - t0
+        with speed.Probe() as setup:
+            try:
+                import workloads as wl
+            except ImportError as e:
+                print(f"error: cannot import the uga package from {ROOT / 'src'}: {e}",
+                      file=sys.stderr)
+                return 2
+            import report
+            inputs = wl.make_inputs(args.workload, args.seed, work / "setup")
+        sample = {"setup_s": setup.ref_seconds, "raw_setup_s": setup.seconds}
         if args.setup_only:
-            print(json.dumps({"setup_s": setup_main}))
+            print(json.dumps(sample))
             return 0
-        return _measure(args, wl, report, inputs, setup_main, work)
+        return _measure(args, wl, report, speed, inputs, sample, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _measure(args, wl, report, inputs, setup_main, work) -> int:
+def _measure(args, wl, report, speed, inputs, setup_sample, work) -> int:
     from tracing import Tracer
 
     ledger = wl.Ledger()
-    setup_samples = [setup_main]
+    setup_samples = [setup_sample]
     for _ in range(SETUP_REPEATS - 1):
         code, out, err = _child(["--workload", args.workload, "--seed",
                                  str(args.seed), "--setup-only"])
         try:
-            setup_samples.append(float(_last_json(out)["setup_s"]))
+            sample = _last_json(out)
+            setup_samples.append({k: float(sample[k])
+                                  for k in ("setup_s", "raw_setup_s")})
             ledger.record("setup repeat", None if code == 0 else err.strip())
         except (TypeError, ValueError, KeyError):
             ledger.record("setup repeat", f"exit {code}: {err.strip()[-500:]}")
@@ -122,9 +125,10 @@ def _measure(args, wl, report, inputs, setup_main, work) -> int:
         seed = args.seed + k * PASS_SEED_STRIDE
         if k:
             inputs = wl.make_inputs(args.workload, seed, work / f"setup{k}")
-        t = time.perf_counter()
-        fig = run_pass(inputs, seed, ledger, work / f"pass{k}")
-        untraced.append({"wall_s": time.perf_counter() - t, "fig": fig})
+        with speed.Probe() as probe:
+            fig = run_pass(inputs, seed, ledger, work / f"pass{k}")
+        untraced.append({"wall_s": probe.ref_seconds, "raw_wall_s": probe.seconds,
+                         "slowdown": probe.slowdown, "fig": fig})
         if tracer:
             fig_t, wall_t = wl.traced_pass(tracer, args.workload, seed, ledger,
                                            work / f"traced{k}")
@@ -141,16 +145,17 @@ def _measure(args, wl, report, inputs, setup_main, work) -> int:
     env = report.environment(ROOT)
     print("env " + json.dumps(env, sort_keys=True))
     e2e = report.end_to_end(setup_samples, untraced, peak_rss_mb)
-    figures = report.workload_figures(untraced)
+    figures = {**report.speed_figures(setup_samples, untraced),
+               **report.workload_figures(untraced)}
     _print_metrics(f"{args.workload}: end-to-end ({len(untraced)} untraced "
                    f"pass(es), {len(setup_samples)} setup samples)", e2e,
                    lambda n: report.END_TO_END[n][0])
-    if figures:
-        _print_metrics(f"{args.workload}: per-arm figures", figures,
-                       report.figure_unit)
+    _print_metrics(f"{args.workload}: measured times and per-arm figures",
+                   figures, report.figure_unit)
     record = {"workload": args.workload, "seed": args.seed, "trace": args.trace,
               "env": env, "setup_samples_s": setup_samples,
-              "passes": [{"wall_s": p["wall_s"], **p["fig"]} for p in untraced],
+              "passes": [{k: p[k] for k in ("wall_s", "raw_wall_s", "slowdown")}
+                         | p["fig"] for p in untraced],
               "end_to_end": e2e, "figures": figures,
               "attempted": ledger.attempted, "failed": ledger.failed,
               "problems": ledger.problems}

@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ ROOT = BENCH.parent
 sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
 
 import report  # noqa: E402
+import speed  # noqa: E402
 import tracing  # noqa: E402
 import uga.autodiff  # noqa: E402
 import uga.train  # noqa: E402
@@ -41,6 +43,30 @@ def test_traced_pass_repeats_untraced_arithmetic(workload, tmp_path):
     assert wl.isolation_problem(plain, traced) is None
     assert tracer.calls("train.train_uga") == len(wl.ARMS[workload])
     assert tracer.op_calls("matmul", "train.train_uga") > 0
+
+
+def test_speed_probe_changes_timing_not_arithmetic(tmp_path):
+    ledger = wl.Ledger()
+    inputs = wl.make_inputs("cubic_shift", 3, None)
+    plain = wl.cubic_pass(inputs, 3, ledger, tmp_path / "plain", iterations=6)
+    handler = signal.getsignal(signal.SIGALRM)
+    with speed.Probe() as probe:
+        probed = wl.cubic_pass(inputs, 3, ledger, tmp_path / "probed",
+                               iterations=6)
+    assert ledger.failed == 0, ledger.problems
+    assert len(probe.samples) > 2
+    assert probed["digest"] == plain["digest"]
+    assert probed["target_mae"] == plain["target_mae"]
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert probe.ref_seconds == pytest.approx(probe.seconds / probe.slowdown)
+
+
+def test_clock_leaves_out_probe_samples():
+    t, c = speed.time.perf_counter(), speed.clock()
+    spent = sum(speed._sample() for _ in range(20))
+    elapsed = speed.time.perf_counter() - t
+    assert speed.clock() - c == pytest.approx(elapsed - spent, abs=1e-3)
 
 
 def test_restore_puts_every_original_back():

@@ -24,7 +24,6 @@ one.
 from __future__ import annotations
 
 import functools
-import time
 
 import uga.alignment
 import uga.autodiff
@@ -34,6 +33,8 @@ import uga.gradcheck
 import uga.metrics
 import uga.models
 import uga.train
+
+from speed import clock
 
 # Span record fields.
 NAME, LAYER, START, END, PARENT, CONTEXT, ARM, CHILD, OPS = range(9)
@@ -142,7 +143,7 @@ class Tracer:
     # -- wrappers -----------------------------------------------------------
 
     def _span(self, fn, layer, name):
-        spans, stack, clock = self.spans, self.stack, time.perf_counter
+        spans, stack = self.spans, self.stack
         lstm = name == "gradcheck.suite.lstm"
 
         @functools.wraps(fn)
@@ -181,7 +182,7 @@ class Tracer:
 
     def _op(self, fn, op):
         spans, stack, nesting = self.spans, self.stack, self.op_nesting
-        stats, clock = self.op_stats, time.perf_counter
+        stats = self.op_stats
         ones, matmuls = self._ones, self.matmuls
         is_ones, is_matmul = op == "ones", op == "matmul"
 

@@ -16,7 +16,6 @@ import hashlib
 import io
 import math
 import re
-import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,8 @@ import uga.models
 import uga.train
 from uga.data import LabeledSet, SyntheticShiftSpec
 from uga.models import MlpSpec, SeqEncoderSpec
+
+from speed import Probe, clock
 
 WORKLOADS = ("cubic_shift", "battery_transfer", "gradcheck")
 ARMS = {
@@ -67,13 +68,13 @@ class Ledger:
     def run(self, what, op, check=None):
         """Returns (ok, value, seconds); seconds time `op` alone."""
         self.attempted += 1
-        t0 = time.perf_counter()
+        t0 = clock()
         try:
             value = op()
         except Exception as e:  # a failed operation is a result, not a crash
             self._fail(what, f"{type(e).__name__}: {e}")
-            return False, None, time.perf_counter() - t0
-        seconds = time.perf_counter() - t0
+            return False, None, clock() - t0
+        seconds = clock() - t0
         problem = check(value) if check else None
         if problem:
             self._fail(what, problem)
@@ -319,20 +320,19 @@ PASSES = {"cubic_shift": cubic_pass, "battery_transfer": battery_pass,
 
 
 def traced_pass(tracer, workload, seed, ledger, workdir, **pass_kwargs):
-    """One pass under `tracer`; returns (figures, wall seconds).  Inputs are
-    made again inside the trace so the data layer is seen; the wall covers
-    the pass alone, like an untraced one."""
+    """One pass under `tracer`; returns (figures, wall seconds at reference
+    speed).  Inputs are made again inside the trace so the data layer is
+    seen; the wall covers the pass alone, like an untraced one."""
     with tracer:
         inputs = make_inputs(workload, seed, workdir / "setup")
 
         def arm_hook(arm):
             tracer.arm = arm
 
-        t = time.perf_counter()
-        fig = PASSES[workload](inputs, seed, ledger, workdir, arm_hook,
-                               **pass_kwargs)
-        wall = time.perf_counter() - t
-    return fig, wall
+        with Probe() as probe:
+            fig = PASSES[workload](inputs, seed, ledger, workdir, arm_hook,
+                                   **pass_kwargs)
+    return fig, probe.ref_seconds
 
 
 def isolation_problem(untraced, traced):
