@@ -3,7 +3,7 @@
 Every operation records its parent tensors and a backward rule at execution
 time; creation order doubles as a topological order, so one `backward` call
 walks the recorded graph exactly once in reverse and accumulates gradients
-into the `.grad` buffers of everything that requires them.
+into the `.grad` buffers of the leaves that require them.
 
 Shape rules are deliberately small: elementwise ops require equal shapes or
 a size-1 operand (scalar broadcast), matmul is strictly 2-D. Row and column
@@ -24,7 +24,7 @@ __all__ = [
     "Tensor", "ShapeError", "DomainError", "no_grad", "constant", "param",
     "add", "sub", "mul", "div", "pow", "neg", "exp", "log", "tanh",
     "sigmoid", "softplus", "abs", "sum", "mean", "concat", "slice_last",
-    "matmul", "transpose", "reshape", "lgamma", "digamma", "backward",
+    "matmul", "transpose", "reshape", "lgamma", "digamma", "lstm", "backward",
     "ones", "zeros",
 ]
 
@@ -302,17 +302,15 @@ def tanh(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp never overflows.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    out = _sigmoid(np.atleast_1d(a.data)).reshape(a.data.shape)
+    out = _sigmoid(a.data)
 
     def backward_fn(g):
         return (g * out * (1.0 - out),)
@@ -327,7 +325,7 @@ def softplus(a) -> Tensor:
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def backward_fn(g):
-        return (g * _sigmoid(np.atleast_1d(x)).reshape(x.shape),)
+        return (g * _sigmoid(x),)
 
     return Tensor._from_op(out, (a,), backward_fn)
 
@@ -459,6 +457,118 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return Tensor._from_op(a.data.reshape(shape).copy(), (a,), backward_fn)
 
 
+# -- fused recurrent encoder -------------------------------------------------
+
+def _fold_steps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over t of a[t].T @ b[t], added latest step first: the order in
+    which the per-step tape accumulates a parameter's gradient (db there is
+    a ones-row matmul, hence the same form for it)."""
+    return np.add.reduce(np.matmul(a[::-1].transpose(0, 2, 1), b[::-1]), axis=0)
+
+
+def lstm(x, layers: Sequence[tuple]) -> Tensor:
+    """Stacked LSTM over a (B, T, in) window; returns the top layer's final
+    hidden state (B, h) as a single tape node.
+
+    `layers` holds one (Wx (in, 4h), Wh (h, 4h), b (1, 4h)) triple per
+    layer, gate blocks ordered input, forget, cell, output; h and c start
+    at zero.  Each layer's input projections for all T steps come from one
+    stacked (T, B, in) @ (in, 4h) matmul call; the backward pass is a numpy
+    BPTT loop over the stored gates, which are kept only when the call is
+    recorded.  Both follow the float order of the per-step composition of
+    matmul, slice_last, sigmoid, tanh, mul and add, so values and gradients
+    are bit-identical to it.
+    """
+    x = _as_tensor(x)
+    if x.data.ndim != 3:
+        raise ShapeError(f"lstm expects a (B, T, in) window, got {x.data.shape}")
+    if not layers:
+        raise ShapeError("lstm needs at least one layer")
+    batch, steps, width = x.data.shape
+    triples = [tuple(_as_tensor(p) for p in layer) for layer in layers]
+    for Wx, Wh, b in triples:
+        h = Wh.data.shape[0]
+        if (Wx.data.shape != (width, 4 * h) or Wh.data.shape != (h, 4 * h)
+                or b.data.shape != (1, 4 * h)):
+            raise ShapeError(
+                f"lstm layer on width {width} needs Wx ({width}, 4h), Wh (h, 4h), "
+                f"b (1, 4h); got {Wx.data.shape}, {Wh.data.shape}, {b.data.shape}")
+        width = h
+    parents = (x, *(p for layer in triples for p in layer))
+    record = _grad_enabled and any(p.requires_grad for p in parents)
+
+    seq = np.ascontiguousarray(x.data.transpose(1, 0, 2))  # (T, B, in)
+    cache = []
+    for Wx, Wh, b in triples:
+        h = Wh.data.shape[0]
+        # Stacked, not one (T*B, in) gemm: numpy computes a one-row product
+        # as a gemv, which rounds differently from the gemm at batch 1.
+        proj = seq @ Wx.data + b.data
+        hs = np.zeros((steps + 1, batch, h))   # hs[t + 1] is h_t; hs[0] = 0
+        cs = np.zeros((steps + 1, batch, h))
+        tanh_c = np.empty((steps, batch, h))
+        gates = np.empty((steps, batch, 4 * h)) if record else None
+        for t in range(steps):
+            pre = proj[t] + hs[t] @ Wh.data
+            act = _sigmoid(pre)
+            act[:, 2 * h:3 * h] = np.tanh(pre[:, 2 * h:3 * h].copy())
+            np.multiply(act[:, h:2 * h], cs[t], out=cs[t + 1])
+            cs[t + 1] += act[:, :h] * act[:, 2 * h:3 * h]
+            np.tanh(cs[t + 1], out=tanh_c[t])
+            np.multiply(act[:, 3 * h:], tanh_c[t], out=hs[t + 1])
+            if record:
+                gates[t] = act
+        if record:
+            cache.append((seq, hs, cs, gates, tanh_c))
+        seq = hs[1:]
+    out = hs[-1].copy()
+
+    def backward_fn(grad):
+        grads = []
+        d_out = None   # (T, B, h): gradient reaching each step's h from above
+        for layer in range(len(triples) - 1, -1, -1):
+            Wx, Wh, _ = triples[layer]
+            inp, hs, cs, gates, tanh_c = cache[layer]
+            h = Wh.data.shape[0]
+            i_g, f_g, g_g, o_g = (np.ascontiguousarray(gates[..., k * h:(k + 1) * h])
+                                  for k in range(4))
+            # Per-step factors, arranged so that dpre = ((D * M) * S) * Q with
+            # D = [dc, dc, dc, dh] repeats the tape's products in its order:
+            # (dc*g*i)(1-i), (dc*c_prev*f)(1-f), (dc*i*1)(1-g^2), (dh*tc*o)(1-o).
+            M = np.concatenate([g_g, cs[:-1], i_g, tanh_c], axis=-1)
+            S = gates.copy()
+            S[..., 2 * h:3 * h] = 1.0
+            Q = 1.0 - gates
+            Q[..., 2 * h:3 * h] = 1.0 - g_g * g_g
+            one_minus_tc2 = 1.0 - tanh_c * tanh_c
+            dpres = np.empty((steps, batch, 4 * h))
+            D = np.empty((batch, 4, h))
+            dh = grad if d_out is None else d_out[-1]
+            dc = None
+            for t in range(steps - 1, -1, -1):
+                dct = (dh * o_g[t]) * one_minus_tc2[t]
+                dc = dct if dc is None else dc + dct
+                D[:, :3] = dc[:, None]
+                D[:, 3] = dh
+                dpre = dpres[t]
+                np.multiply(D.reshape(batch, 4 * h), M[t], out=dpre)
+                dpre *= S[t]
+                dpre *= Q[t]
+                dc = dc * f_g[t]
+                dh = (Wh.data @ dpre.T).T
+                if d_out is not None and t > 0:
+                    dh = dh + d_out[t - 1]
+            grads.append((_fold_steps(inp, dpres), _fold_steps(hs[:-1], dpres),
+                          _fold_steps(np.ones((steps, batch, 1)), dpres)))
+            # Stacked matmuls round each step exactly as a lone product does.
+            d_out = (np.matmul(Wx.data, dpres.transpose(0, 2, 1)).transpose(0, 2, 1)
+                     if layer > 0 or x.requires_grad else None)
+        dx = d_out.transpose(1, 0, 2).copy() if x.requires_grad else None
+        return (dx, *(g for layer in reversed(grads) for g in layer))
+
+    return Tensor._from_op(out, parents, backward_fn)
+
+
 # -- backward pass -----------------------------------------------------------
 
 def _ancestors(root: Tensor) -> list[Tensor]:
@@ -477,7 +587,8 @@ def _ancestors(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into `.grad` of every recorded tensor.
+    """Accumulate d(loss)/d(leaf) into `.grad` of every leaf that requires
+    grad; intermediate results keep `.grad` None.
 
     Requires a single-element loss reachable from at least one tensor with
     requires_grad; repeated calls without `zero_grad` keep accumulating.
@@ -495,11 +606,8 @@ def backward(loss: Tensor) -> None:
         g = flowing.pop(id(node), None)
         if g is None or not node.requires_grad:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
         if node._backward is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):

@@ -15,6 +15,7 @@ import dataclasses
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "LabeledSet",
@@ -287,11 +288,13 @@ def read_vector_csv(path):
         inputs, labels = [], []
         for k, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise ValueError(f"row {k}: expected {len(header)} fields")
+                raise ValueError(f"{path}: row {k}: expected {len(header)} fields")
             try:
                 vals = [float(v) for v in row]
             except ValueError:
-                raise ValueError(f"row {k}: non-numeric field") from None
+                raise ValueError(f"{path}: row {k}: non-numeric field") from None
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}: row {k}: non-finite field")
             if has_label:
                 inputs.append(vals[:-1])
                 labels.append(vals[-1])
@@ -323,7 +326,9 @@ def ingest_battery_csv(path) -> list[list[BatteryRecord]]:
                                 i=float(row["current_a"]), temp=float(row["temp_c"]),
                                 soc=float(row["soc"]), cycle=row["cycle"])
         except (TypeError, ValueError) as e:
-            raise ValueError(f"bad battery CSV row {idx + 2}: {e}") from None
+            raise ValueError(f"{path}: bad battery CSV row {idx + 2}: {e}") from None
+        if not all(map(math.isfinite, (rec.t, rec.v, rec.i, rec.temp, rec.soc))):
+            raise ValueError(f"{path}: non-finite value in battery CSV row {idx + 2}")
         if not 0.0 <= rec.soc <= 1.0:
             raise ValueError(f"soc {rec.soc} outside [0, 1] at row {idx + 2}")
         if rec.cycle != current_tag:
@@ -351,9 +356,8 @@ def _downsample_1hz(series: list[BatteryRecord]) -> list[BatteryRecord]:
     return out
 
 
-def window(series: list[BatteryRecord], length: int = 100, stride: int = 1,
-           ) -> list[tuple[np.ndarray, float]]:
-    """Sliding (V, I, T) windows; the label is the soc at the final step."""
+def _window_arrays(series: list[BatteryRecord], length: int, stride: int,
+                   ) -> tuple[np.ndarray, np.ndarray]:
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n = len(series)
@@ -361,24 +365,27 @@ def window(series: list[BatteryRecord], length: int = 100, stride: int = 1,
         raise ValueError(f"series of {n} records is shorter than window {length}")
     feats = np.array([[r.v, r.i, r.temp] for r in series])
     socs = np.array([r.soc for r in series])
-    out = []
-    for start in range(0, n - length + 1, stride):
-        out.append((feats[start:start + length], float(socs[start + length - 1])))
-    return out
+    # (n - length + 1, 3, length) view -> (windows, length, 3), every stride-th
+    views = sliding_window_view(feats, length, axis=0).transpose(0, 2, 1)[::stride]
+    return views, socs[length - 1::stride]
+
+
+def window(series: list[BatteryRecord], length: int = 100, stride: int = 1,
+           ) -> list[tuple[np.ndarray, float]]:
+    """Sliding (V, I, T) windows; the label is the soc at the final step.
+    Windows are read-only views of one feature array."""
+    views, labels = _window_arrays(series, length, stride)
+    return list(zip(views, labels.tolist()))
 
 
 def windows_to_set(series_list, length: int = 100, stride: int = 1) -> LabeledSet:
     """Window every series and stack the results into one LabeledSet."""
-    xs, ys = [], []
-    for series in series_list:
-        if len(series) < length:
-            continue
-        for w, label in window(series, length, stride):
-            xs.append(w)
-            ys.append(label)
-    if not xs:
+    parts = [_window_arrays(series, length, stride)
+             for series in series_list if len(series) >= length]
+    if not parts:
         raise ValueError("no series long enough to window")
-    return LabeledSet(np.stack(xs), np.array(ys))
+    return LabeledSet(np.concatenate([v for v, _ in parts]),
+                      np.concatenate([y for _, y in parts]))
 
 
 def split_by_cycle(series_list, dataset_tag: str):

@@ -192,23 +192,6 @@ def mlp_forward(x, bundle: ModelBundle, training: bool = False, rng=None) -> ad.
     return h
 
 
-def _lstm_layer(steps: list[ad.Tensor], Wx, Wh, b, hidden: int) -> list[ad.Tensor]:
-    batch = steps[0].shape[0]
-    h = ad.zeros(batch, hidden)
-    c = ad.zeros(batch, hidden)
-    out = []
-    for x_t in steps:
-        pre = _affine(x_t, Wx, b) + ad.matmul(h, Wh)
-        i_g = ad.sigmoid(ad.slice_last(pre, 0, hidden))
-        f_g = ad.sigmoid(ad.slice_last(pre, hidden, 2 * hidden))
-        g_g = ad.tanh(ad.slice_last(pre, 2 * hidden, 3 * hidden))
-        o_g = ad.sigmoid(ad.slice_last(pre, 3 * hidden, 4 * hidden))
-        c = f_g * c + i_g * g_g
-        h = o_g * ad.tanh(c)
-        out.append(h)
-    return out
-
-
 def seq_forward(window, bundle: ModelBundle) -> ad.Tensor:
     """Run the stacked LSTM; returns the top layer's final hidden state."""
     spec = bundle.spec
@@ -220,14 +203,9 @@ def seq_forward(window, bundle: ModelBundle) -> ad.Tensor:
     if w.ndim != 3 or w.shape[1] != spec.window_len or w.shape[2] != spec.input_dim:
         raise ad.ShapeError(
             f"expected (B, {spec.window_len}, {spec.input_dim}) window, got {w.shape}")
-    steps = [ad.constant(w[:, t, :]) for t in range(spec.window_len)]
-    for layer in range(spec.num_layers):
-        steps = _lstm_layer(steps,
-                            bundle.params[f"lstm.{layer}.Wx"],
-                            bundle.params[f"lstm.{layer}.Wh"],
-                            bundle.params[f"lstm.{layer}.b"],
-                            spec.hidden_dim)
-    return steps[-1]
+    return ad.lstm(w, [tuple(bundle.params[f"lstm.{layer}.{name}"]
+                             for name in ("Wx", "Wh", "b"))
+                       for layer in range(spec.num_layers)])
 
 
 def model_forward(x, bundle: ModelBundle, training: bool = False, rng=None):
@@ -292,9 +270,12 @@ def load_checkpoint(path) -> ModelBundle:
         raise ValueError("corrupt checkpoint: missing END marker")
     header = raw[:end].decode("utf-8").splitlines()
     blob = raw[end + 4:]
-    if header[0] != f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}":
-        raise ValueError(f"unsupported checkpoint header {header[0]!r}")
-    fields = dict(line.split(" ", 1) for line in header[1:5])
+    if not header or header[0] != f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}":
+        raise ValueError(f"unsupported checkpoint header {header[:1]!r}")
+    fields = dict(line.split(" ", 1) for line in header[1:5] if " " in line)
+    for key in ("extractor", "head", "spec", "params"):
+        if key not in fields:
+            raise ValueError(f"corrupt checkpoint: header has no {key!r} line")
     spec = _spec_from_dict(fields["extractor"], json.loads(fields["spec"]))
     count = int(fields["params"])
     names = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -75,6 +76,10 @@ class TrainConfig:
             raise ValueError("lambda_evi must be >= 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        for name in ("iterations", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1 or self.batch_size < 1:
             raise ValueError("iterations and batch_size must be positive")
         if self.clip_norm is not None and self.clip_norm <= 0:

@@ -153,6 +153,16 @@ class TestBackward:
         ad.backward(z)
         assert float(x.grad) == pytest.approx(6.0)
 
+    def test_grad_kept_on_leaves_only(self):
+        x = ad.param(np.array([[1.5, -0.5]]))
+        c = ad.constant(np.array([[2.0, 3.0]]))
+        y = ad.tanh(x * c)
+        ad.backward(ad.sum(y))
+        assert y.grad is None
+        assert c.grad is None
+        np.testing.assert_array_equal(
+            x.grad, np.array([[2.0, 3.0]]) * (1.0 - np.tanh(np.array([[3.0, -1.5]])) ** 2))
+
     def test_no_grad_context(self):
         with ad.no_grad():
             x = ad.param(1.0)

@@ -181,6 +181,18 @@ class TestIngestion:
         with pytest.raises(ValueError, match="soc"):
             ingest_battery_csv(path)
 
+    @pytest.mark.parametrize("row", ["0,nan,1,25,1.0,US06",
+                                     "0,3.5,inf,25,1.0,US06",
+                                     "0,3.5,1,-inf,1.0,US06",
+                                     "nan,3.5,1,25,1.0,US06"])
+    def test_non_finite_value_rejected_with_file_and_row(self, tmp_path, row):
+        path = tmp_path / "b.csv"
+        path.write_text("time_s,voltage_v,current_a,temp_c,soc,cycle\n"
+                        f"{row}\n1,3.5,1,25,0.9,US06\n")
+        with pytest.raises(ValueError, match="non-finite") as err:
+            ingest_battery_csv(path)
+        assert str(path) in str(err.value) and "row 2" in str(err.value)
+
     def test_contiguous_blocks_form_series(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text(
@@ -298,3 +310,11 @@ class TestVectorCsv:
         path.write_text("x0,y\n")
         with pytest.raises(ValueError, match="no data"):
             read_vector_csv(path)
+
+    @pytest.mark.parametrize("body", ["1.0,nan\n", "inf,2.0\n", "-inf,2.0\n"])
+    def test_non_finite_value_rejected_with_file_and_row(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,y\n1.0,2.0\n" + body)
+        with pytest.raises(ValueError, match="non-finite") as err:
+            read_vector_csv(path)
+        assert str(path) in str(err.value) and "row 3" in str(err.value)

@@ -254,6 +254,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", ["spec", "head", "params"])
+    def test_header_missing_field_rejected(self, tmp_path, field):
+        bundle = build_bundle(MlpSpec(layer_widths=(2, 3)), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(bundle, path)
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join(l for l in lines
+                                     if not l.startswith(field.encode() + b" ")))
+        with pytest.raises(ValueError, match=repr(field)):
+            load_checkpoint(path)
+
     def test_truncated_blob_rejected(self, tmp_path):
         bundle = build_bundle(MlpSpec(layer_widths=(2, 3)), seed=0)
         path = tmp_path / "trunc.ckpt"
@@ -262,3 +273,97 @@ class TestCheckpoint:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+# Reference for the fused `ad.lstm` op: the per-step composition of
+# elementwise tape ops the op replaces.  The op must match it bit for bit.
+def _affine_ref(x, W, b):
+    return ad.matmul(x, W) + ad.matmul(ad.ones(x.shape[0], 1), b)
+
+
+def _lstm_layer_ref(steps, Wx, Wh, b, hidden):
+    batch = steps[0].shape[0]
+    h = ad.zeros(batch, hidden)
+    c = ad.zeros(batch, hidden)
+    out = []
+    for x_t in steps:
+        pre = _affine_ref(x_t, Wx, b) + ad.matmul(h, Wh)
+        i_g = ad.sigmoid(ad.slice_last(pre, 0, hidden))
+        f_g = ad.sigmoid(ad.slice_last(pre, hidden, 2 * hidden))
+        g_g = ad.tanh(ad.slice_last(pre, 2 * hidden, 3 * hidden))
+        o_g = ad.sigmoid(ad.slice_last(pre, 3 * hidden, 4 * hidden))
+        c = f_g * c + i_g * g_g
+        h = o_g * ad.tanh(c)
+        out.append(h)
+    return out
+
+
+def _seq_forward_ref(w, bundle):
+    spec = bundle.spec
+    steps = [ad.constant(w[:, t, :]) for t in range(spec.window_len)]
+    for layer in range(spec.num_layers):
+        steps = _lstm_layer_ref(steps, bundle.params[f"lstm.{layer}.Wx"],
+                                bundle.params[f"lstm.{layer}.Wh"],
+                                bundle.params[f"lstm.{layer}.b"], spec.hidden_dim)
+    return steps[-1]
+
+
+class TestFusedLstm:
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_bit_identical_to_per_step_tape(self, num_layers, batch):
+        spec = SeqEncoderSpec(num_layers=num_layers, hidden_dim=16, input_dim=3,
+                              window_len=100)
+        bundle = build_bundle(spec, seed=3)
+        rng = np.random.default_rng(batch + num_layers)
+        w = rng.normal(size=(batch, 100, 3))
+        head = rng.normal(size=(16, 1))
+        results = []
+        for forward in (seq_forward, _seq_forward_ref):
+            bundle.zero_grad()
+            z = forward(w, bundle)
+            ad.backward(ad.sum(ad.tanh(ad.matmul(z, ad.constant(head)))))
+            results.append((z.data.copy(),
+                            [t.grad.copy() for t in bundle.parameters()
+                             if t.grad is not None]))
+        (z_op, g_op), (z_ref, g_ref) = results
+        assert z_op.tobytes() == z_ref.tobytes()
+        assert len(g_op) == len(g_ref) == 3 * num_layers
+        for a, b in zip(g_op, g_ref):
+            assert a.tobytes() == b.tobytes()
+
+    def test_no_grad_output_has_no_backward_rule(self):
+        spec = SeqEncoderSpec(num_layers=2, hidden_dim=4, input_dim=3,
+                              window_len=6)
+        bundle = build_bundle(spec, seed=0)
+        w = np.random.default_rng(0).normal(size=(5, 6, 3))
+        with ad.no_grad():
+            z = seq_forward(w, bundle)
+        assert not z.requires_grad
+        assert z._backward is None and z._parents == ()
+        np.testing.assert_array_equal(z.data, seq_forward(w, bundle).data)
+
+    def test_input_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        layers = [tuple(ad.param(rng.normal(size=s) * 0.5)
+                        for s in ((2, 12), (3, 12), (1, 12))),
+                  tuple(ad.param(rng.normal(size=s) * 0.5)
+                        for s in ((3, 12), (3, 12), (1, 12)))]
+        x = ad.param(rng.normal(size=(2, 5, 2)))
+        leaves = [x] + [p for layer in layers for p in layer]
+
+        def build(_):
+            return ad.sum(ad.tanh(ad.lstm(x, layers)))
+
+        assert gc.compare(build, leaves) < 1e-6
+
+    def test_shape_checks(self):
+        Wx, Wh, b = np.zeros((3, 8)), np.zeros((2, 8)), np.zeros((1, 8))
+        with pytest.raises(ad.ShapeError):
+            ad.lstm(np.zeros((4, 3)), [(Wx, Wh, b)])
+        with pytest.raises(ad.ShapeError):
+            ad.lstm(np.zeros((1, 4, 2)), [(Wx, Wh, b)])
+        with pytest.raises(ad.ShapeError):
+            ad.lstm(np.zeros((1, 4, 3)), [(Wx, Wh, np.zeros((8,)))])
+        with pytest.raises(ad.ShapeError):
+            ad.lstm(np.zeros((1, 4, 3)), [])

@@ -140,6 +140,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(weight_decay=-1.0)
 
+    @pytest.mark.parametrize("field,value", [("iterations", 2.5), ("iterations", 3.0),
+                                             ("batch_size", 2.5), ("batch_size", True),
+                                             ("iterations", "10")])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: value})
+        assert getattr(tr.TrainConfig(**{field: np.int64(3)}), field) == 3
+
     def test_group_lrs_scalar_broadcast(self):
         assert tr.TrainConfig(lr=0.01).group_lrs() == {
             "head": 0.01, "extractor": 0.01}
@@ -298,7 +306,7 @@ save_checkpoint(bundle, sys.argv[1])
 """
 
 
-def test_feature_arm_bits_independent_of_blas_threads(tmp_path):
+def _checkpoints_under_1_and_2_threads(script, tmp_path):
     src_dir = str(Path(uga.__file__).resolve().parents[1])
     blobs = []
     for threads in ("1", "2"):
@@ -307,7 +315,36 @@ def test_feature_arm_bits_independent_of_blas_threads(tmp_path):
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
         out = tmp_path / f"threads{threads}.bin"
-        subprocess.run([sys.executable, "-c", _THREAD_RUN, str(out)],
+        subprocess.run([sys.executable, "-c", script, str(out)],
                        env=env, check=True)
         blobs.append(out.read_bytes())
+    return blobs
+
+
+def test_feature_arm_bits_independent_of_blas_threads(tmp_path):
+    blobs = _checkpoints_under_1_and_2_threads(_THREAD_RUN, tmp_path)
+    assert blobs[0] == blobs[1]
+
+
+# Two source-only iterations at the battery benchmark's LSTM shape (1 layer,
+# h=16, 100-step windows, batch 32), which runs on the fused `ad.lstm` op.
+_BATTERY_THREAD_RUN = """
+import sys
+from uga.data import gen_battery_curves, windows_to_set
+from uga.models import SeqEncoderSpec, save_checkpoint
+from uga.train import TrainConfig, train_uga
+
+src = windows_to_set(gen_battery_curves(-20.0, 1, seed=500, capacity_ah=0.2), 100, 5)
+tgt = windows_to_set(gen_battery_curves(25.0, 1, seed=700, capacity_ah=0.2), 100, 5)
+cfg = TrainConfig(alignment="none", iterations=2, batch_size=32, lr=3e-3, seed=0,
+                  lambda_evi=0.1, aug_weight=32.0, clip_norm=0.5)
+bundle, _ = train_uga(src, tgt.unlabeled(), cfg,
+                      SeqEncoderSpec(num_layers=1, hidden_dim=16, input_dim=3,
+                                     window_len=100))
+save_checkpoint(bundle, sys.argv[1])
+"""
+
+
+def test_battery_lstm_bits_independent_of_blas_threads(tmp_path):
+    blobs = _checkpoints_under_1_and_2_threads(_BATTERY_THREAD_RUN, tmp_path)
     assert blobs[0] == blobs[1]
