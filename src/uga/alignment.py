@@ -96,25 +96,6 @@ def median_bandwidth(X, Y) -> float:
     return float(np.median(d2))
 
 
-def _pairwise_sq_dists(A: ad.Tensor, B: ad.Tensor) -> ad.Tensor:
-    n, d = A.shape
-    m = B.shape[0]
-    col = ad.ones(d, 1)
-    sqa = ad.matmul(A * A, col)            # (n, 1)
-    sqb = ad.matmul(B * B, col)            # (m, 1)
-    cross = ad.matmul(A, ad.transpose(B))  # (n, m)
-    return (ad.matmul(sqa, ad.ones(1, m))
-            + ad.matmul(ad.ones(n, 1), ad.transpose(sqb))
-            - 2.0 * cross)
-
-
-def _mean_kernel(D: ad.Tensor, sigma2: float) -> ad.Tensor:
-    n, m = D.shape
-    k = ad.exp(D * (-1.0 / (2.0 * sigma2)))
-    total = ad.matmul(ad.matmul(ad.ones(1, n), k), ad.ones(m, 1))
-    return ad.reshape(total, ()) * (1.0 / (n * m))
-
-
 def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:
     """Biased squared MMD between two sample sets, averaged over the bank.
 
@@ -147,15 +128,7 @@ def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:
     if ky < kx:
         X, Y = Y, X
 
-    dxx = _pairwise_sq_dists(X, X)
-    dyy = _pairwise_sq_dists(Y, Y)
-    dxy = _pairwise_sq_dists(X, Y)
-    acc = None
-    for s2 in bank.bandwidths:
-        term = (_mean_kernel(dxx, s2) + _mean_kernel(dyy, s2)
-                - 2.0 * _mean_kernel(dxy, s2))
-        acc = term if acc is None else acc + term
-    return acc * (1.0 / len(bank.bandwidths))
+    return ad.mmd(X, Y, bank.bandwidths)
 
 
 def augmented_embedding(z, p: NigOutput, aug_weight: float = 1.0) -> ad.Tensor:

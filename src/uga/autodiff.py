@@ -24,8 +24,8 @@ __all__ = [
     "Tensor", "ShapeError", "DomainError", "no_grad", "constant", "param",
     "add", "sub", "mul", "div", "pow", "neg", "exp", "log", "tanh",
     "sigmoid", "softplus", "abs", "sum", "mean", "concat", "slice_last",
-    "matmul", "transpose", "reshape", "lgamma", "digamma", "lstm", "backward",
-    "ones", "zeros",
+    "matmul", "transpose", "reshape", "lgamma", "digamma", "lstm", "mmd",
+    "backward", "ones", "zeros",
 ]
 
 class ShapeError(ValueError):
@@ -220,8 +220,8 @@ def mul(a, b) -> Tensor:
 
     def backward_fn(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return Tensor._from_op(a.data * b.data, (a, b), backward_fn)
@@ -430,7 +430,8 @@ def matmul(a, b) -> Tensor:
         # features + 4 NIG parameters) in the MMD distances is.  With batches
         # of at most 128 rows, or a multiple of 8, this layout gives the
         # one-thread bits at any thread count.
-        return (b.data @ g.T).T, a.data.T @ g
+        return ((b.data @ g.T).T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return Tensor._from_op(a.data @ b.data, (a, b), backward_fn)
 
@@ -567,6 +568,117 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
         return (dx, *(g for layer in reversed(grads) for g in layer))
 
     return Tensor._from_op(out, parents, backward_fn)
+
+
+# -- fused multi-kernel MMD --------------------------------------------------
+
+def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
+    """Biased squared MMD between sample sets x (n, d) and y (m, d) with
+    Gaussian kernels exp(-|u - v|^2 / (2 s2)), averaged over the bandwidths
+    s2, as a single tape node.
+
+    Per bandwidth: mean k(x, x) + mean k(y, y) - 2 mean k(x, y).  Forward
+    and backward repeat the float order of the composition of mul, matmul
+    (ones-matmul broadcasts and sums), transpose, exp, add and sub it
+    replaces, so the value and both input gradients are bit-identical to
+    it: the same BLAS calls on the same layouts, the per-bandwidth kernel
+    gradients added last bandwidth first, and the input gradients added
+    block by block (xy, yy, xx), each block as the cross term, its
+    transpose, then the squared norms of its right and left operand, each
+    added twice.  Kernel matrices are kept only when the call is recorded;
+    otherwise each block's kernels are evaluated in one reused buffer.
+    """
+    x, y = _as_tensor(x), _as_tensor(y)
+    if x.data.ndim != 2 or y.data.ndim != 2 or x.data.shape[1] != y.data.shape[1]:
+        raise ShapeError(f"mmd needs (n, d) and (m, d) samples, got "
+                         f"{x.data.shape} and {y.data.shape}")
+    n, m = x.data.shape[0], y.data.shape[0]
+    if n < 1 or m < 1:
+        raise ShapeError("mmd needs at least one sample per set")
+    if not bandwidths or any(not s2 > 0 for s2 in bandwidths):
+        raise ValueError("mmd needs at least one positive bandwidth")
+    record = _grad_enabled and (x.requires_grad or y.requires_grad)
+    coefs = [-1.0 / (2.0 * s2) for s2 in bandwidths]
+    col = np.ones((x.data.shape[1], 1))
+    sqx = (x.data * x.data) @ col
+    sqy = (y.data * y.data) @ col
+    # (a, b, |a|^2, |b|^2) per block, in backward order: xy, yy, xx.
+    blocks = ((x.data, y.data, sqx, sqy), (y.data, y.data, sqy, sqy),
+              (x.data, x.data, sqx, sqx))
+    buf = None if record else np.empty(max(n, m) ** 2)
+
+    def scratch(rows, cols):
+        # Recorded kernels are kept for backward; otherwise reuse one buffer.
+        if buf is None:
+            return np.empty((rows, cols))
+        return buf[:rows * cols].reshape(rows, cols)
+
+    means = []     # per block: the bandwidths' kernel means
+    cache = []     # per block: (b^T, kernel matrices) when recorded
+    for a, b, sqa, sqb in blocks:
+        bt = b.T.copy()
+        dist = a @ bt
+        dist *= 2.0
+        rows, cols = dist.shape
+        norms = scratch(rows, cols)
+        np.add(sqa, sqb.T, out=norms)
+        np.subtract(norms, dist, out=dist)
+        inv = 1.0 / (rows * cols)
+        kernels, block_means = [], []
+        for c in coefs:
+            k = scratch(rows, cols)
+            np.multiply(dist, c, out=k)
+            np.exp(k, out=k)
+            total = (np.ones((1, rows)) @ k) @ np.ones((cols, 1))
+            block_means.append(total.reshape(()) * inv)
+            kernels.append(k)
+        means.append(block_means)
+        cache.append((bt, kernels) if record else None)
+        del dist   # before the next block's distances are allocated
+    acc = None
+    for mxy, myy, mxx in zip(*means):
+        term = (mxx + myy) - mxy * 2.0
+        acc = term if acc is None else acc + term
+    out = np.asarray(acc * (1.0 / len(coefs)))
+
+    def backward_fn(g):
+        g_term = g * (1.0 / len(coefs))
+        grads = {x: None, y: None}   # one entry when x is y
+
+        def push(t, contribution):
+            acc = grads[t]
+            grads[t] = contribution if acc is None else acc + contribution
+
+        for i, ((a, b, _, _), (bt, kernels), ta, tb) in enumerate(
+                zip(blocks, cache, (x, y, x), (y, y, x))):
+            if not (ta.requires_grad or tb.requires_grad):
+                continue
+            rows, cols = a.shape[0], b.shape[0]
+            # d(out)/d(kernel sum): the xy means enter the bank sum as -2 mean
+            v = (g_term if i else (-g_term) * 2.0) * (1.0 / (rows * cols))
+            gd = None
+            for k, c in zip(reversed(kernels), reversed(coefs)):
+                t = (v * k) * c
+                gd = t if gd is None else gd + t
+            g_sqa = (np.ones((1, cols)) @ gd.T).T
+            g_sqb = (np.ones((rows, 1)).T @ gd).T
+            g_cross = (-gd) * 2.0
+            if ta.requires_grad:
+                # (B g^T)^T keeps the batch on the output's column axis, as
+                # matmul's backward does, so BLAS threads cannot change bits.
+                push(ta, (bt @ g_cross.T).T)
+            if tb.requires_grad:
+                push(tb, (a.T @ g_cross).T)
+                t = g_sqb * b
+                push(tb, t)
+                push(tb, t)
+            if ta.requires_grad:
+                t = g_sqa * a
+                push(ta, t)
+                push(ta, t)
+        return grads[x], None if x is y else grads[y]
+
+    return Tensor._from_op(out, (x, y), backward_fn)
 
 
 # -- backward pass -----------------------------------------------------------

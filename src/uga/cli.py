@@ -112,6 +112,17 @@ def _load_inputs(path) -> np.ndarray:
     return x
 
 
+def _check_width(bundle, path, inputs: np.ndarray) -> None:
+    """Vector CSV rows must match the checkpoint's MLP input width."""
+    if not isinstance(bundle.spec, MlpSpec):
+        raise UsageError(f"{path}: eval scores vector CSVs, but the checkpoint "
+                         f"has a {bundle.extractor_kind} extractor")
+    want = bundle.spec.layer_widths[0]
+    if inputs.shape[1] != want:
+        raise UsageError(f"{path}: {inputs.shape[1]} input columns, "
+                         f"the checkpoint expects {want}")
+
+
 def _cmd_datagen(args) -> int:
     if args.kind == "battery":
         series = gen_battery_curves(args.temp, args.cycles, args.seed,
@@ -204,7 +215,10 @@ def _cmd_eval(args) -> int:
     except ValueError as e:
         raise UsageError(f"bad checkpoint: {e}") from None
     dataset = _load_labeled(args.data)
+    _check_width(bundle, args.data, dataset.inputs)
     reference = _load_inputs(args.reference) if args.reference else None
+    if reference is not None:
+        _check_width(bundle, args.reference, reference)
 
     started = time.monotonic()
     report = evaluate(bundle, dataset, reference_inputs=reference)

@@ -315,7 +315,7 @@ def ingest_battery_csv(path) -> list[list[BatteryRecord]]:
         header = reader.fieldnames or []
         for col in CSV_COLUMNS:
             if col not in header:
-                raise ValueError(f"battery CSV is missing column {col!r}")
+                raise ValueError(f"{path}: battery CSV is missing column {col!r}")
         rows = list(reader)
     series_list: list[list[BatteryRecord]] = []
     current_tag = None
@@ -330,7 +330,7 @@ def ingest_battery_csv(path) -> list[list[BatteryRecord]]:
         if not all(map(math.isfinite, (rec.t, rec.v, rec.i, rec.temp, rec.soc))):
             raise ValueError(f"{path}: non-finite value in battery CSV row {idx + 2}")
         if not 0.0 <= rec.soc <= 1.0:
-            raise ValueError(f"soc {rec.soc} outside [0, 1] at row {idx + 2}")
+            raise ValueError(f"{path}: soc {rec.soc} outside [0, 1] at row {idx + 2}")
         if rec.cycle != current_tag:
             if block:
                 series_list.append(block)
@@ -338,7 +338,8 @@ def ingest_battery_csv(path) -> list[list[BatteryRecord]]:
             block = []
         if block and rec.t <= block[-1].t:
             raise ValueError(
-                f"non-monotone time within cycle {rec.cycle!r} at row {idx + 2}")
+                f"{path}: non-monotone time within cycle {rec.cycle!r} "
+                f"at row {idx + 2}")
         block.append(rec)
     if block:
         series_list.append(block)

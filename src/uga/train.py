@@ -72,21 +72,26 @@ class TrainConfig:
             self.alignment = AlignmentKind(self.alignment)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.lambda_evi < 0:
-            raise ValueError("lambda_evi must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        for name in ("iterations", "batch_size"):
+        for name in ("iterations", "batch_size", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1 or self.batch_size < 1:
             raise ValueError("iterations and batch_size must be positive")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive or null")
-        for lr in self.group_lrs().values():
-            if lr <= 0:
-                raise ValueError("learning rates must be positive")
+        # Comparisons with nan are false, so these bounds also reject nan.
+        for name in ("lambda_evi", "weight_decay", "aug_weight"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not math.isfinite(self.momentum):
+            raise ValueError(f"momentum must be finite, got {self.momentum!r}")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ValueError(
+                f"clip_norm must be finite and positive or null, got {self.clip_norm!r}")
+        for group, lr in self.group_lrs().items():
+            if not 0 < lr < math.inf:
+                raise ValueError(
+                    f"learning rates must be finite and positive, got {group} lr {lr!r}")
 
     def group_lrs(self) -> dict:
         if isinstance(self.lr, dict):

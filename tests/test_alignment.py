@@ -150,6 +150,107 @@ class TestMmd:
         assert gc.compare(build, [X, Y]) < 1e-5
 
 
+def _pairwise_sq_dists(A, B):
+    """The tape composition ad.mmd replaces, kept as its bit-level reference."""
+    n, d = A.shape
+    m = B.shape[0]
+    col = ad.ones(d, 1)
+    sqa = ad.matmul(A * A, col)
+    sqb = ad.matmul(B * B, col)
+    cross = ad.matmul(A, ad.transpose(B))
+    return (ad.matmul(sqa, ad.ones(1, m))
+            + ad.matmul(ad.ones(n, 1), ad.transpose(sqb))
+            - 2.0 * cross)
+
+
+def _mean_kernel(D, sigma2):
+    n, m = D.shape
+    k = ad.exp(D * (-1.0 / (2.0 * sigma2)))
+    total = ad.matmul(ad.matmul(ad.ones(1, n), k), ad.ones(m, 1))
+    return ad.reshape(total, ()) * (1.0 / (n * m))
+
+
+def mmd_tape(X, Y, bandwidths):
+    dxx = _pairwise_sq_dists(X, X)
+    dyy = _pairwise_sq_dists(Y, Y)
+    dxy = _pairwise_sq_dists(X, Y)
+    acc = None
+    for s2 in bandwidths:
+        term = (_mean_kernel(dxx, s2) + _mean_kernel(dyy, s2)
+                - 2.0 * _mean_kernel(dxy, s2))
+        acc = term if acc is None else acc + term
+    return acc * (1.0 / len(bandwidths))
+
+
+class TestFusedMmd:
+    """ad.mmd against the tape composition: same bits, value and gradients."""
+
+    CASES = [((128, 132), (128, 132)), ((128, 3), (128, 3)),
+             ((32, 20), (32, 20)), ((7, 4), (6, 4)), ((5, 4), (9, 4))]
+
+    @staticmethod
+    def samples(seed, xs, ys):
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.1, 40.0, size=xs[1])
+        X = rng.normal(size=xs) * scale
+        Y = rng.normal(loc=0.5, size=ys) * scale
+        return X, Y, KernelBank.median_scaled(X, Y).bandwidths
+
+    @staticmethod
+    def run(op, X, Y, bandwidths, grad_x=True, grad_y=True, same=False):
+        x = ad.param(X) if grad_x else ad.constant(X)
+        y = x if same else (ad.param(Y) if grad_y else ad.constant(Y))
+        out = op(x, y, bandwidths)
+        ad.backward(out * 0.37)
+        return out.data, x.grad, None if same else y.grad
+
+    @staticmethod
+    def assert_bits(got, want):
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    @pytest.mark.parametrize("xs, ys", CASES)
+    def test_bit_identical_to_tape(self, xs, ys):
+        X, Y, bw = self.samples(43, xs, ys)
+        for a, b in ((X, Y), (Y, X)):
+            self.assert_bits(self.run(ad.mmd, a, b, bw), self.run(mmd_tape, a, b, bw))
+
+    @pytest.mark.parametrize("grad_x, grad_y", [(True, False), (False, True)])
+    def test_one_side_requires_grad(self, grad_x, grad_y):
+        X, Y, bw = self.samples(47, (32, 20), (24, 20))
+        got = self.run(ad.mmd, X, Y, bw, grad_x, grad_y)
+        self.assert_bits(got, self.run(mmd_tape, X, Y, bw, grad_x, grad_y))
+        assert (got[1] is None) != grad_x and (got[2] is None) != grad_y
+
+    def test_same_tensor_both_sides(self):
+        X, _, bw = self.samples(53, (16, 5), (16, 5))
+        got = self.run(ad.mmd, X, X, bw, same=True)
+        self.assert_bits(got, self.run(mmd_tape, X, X, bw, same=True))
+        assert got[0] == 0.0
+
+    @pytest.mark.parametrize("xs, ys", [((128, 3), (96, 3)), ((200, 3), (150, 3))])
+    def test_no_grad_value_and_no_backward_rule(self, xs, ys):
+        X, Y, bw = self.samples(59, xs, ys)
+        with ad.no_grad():
+            out = ad.mmd(ad.param(X), ad.param(Y), bw)
+            want = mmd_tape(ad.constant(X), ad.constant(Y), bw)
+        assert out._backward is None and out._parents == ()
+        assert out.data.tobytes() == np.asarray(want.data).tobytes()
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ad.ShapeError):
+            ad.mmd(np.zeros((3, 2)), np.zeros((3, 4)), (1.0,))
+        with pytest.raises(ad.ShapeError):
+            ad.mmd(np.zeros((0, 2)), np.zeros((3, 2)), (1.0,))
+        with pytest.raises(ValueError):
+            ad.mmd(np.zeros((3, 2)), np.zeros((3, 2)), ())
+        with pytest.raises(ValueError):
+            ad.mmd(np.zeros((3, 2)), np.zeros((3, 2)), (1.0, 0.0))
+
+
 class TestAugmentedEmbedding:
     def test_output_dim(self):
         p = nig_from_raw(ad.constant(np.zeros((2, 4))))

@@ -129,6 +129,20 @@ class TestBackward:
 
         assert gc.compare(build, leaves) < 1e-5
 
+    def test_constant_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(7)
+        x = ad.param(rng.normal(size=(3, 2)))
+        c = ad.constant(rng.normal(size=(2, 4)))
+        g = np.ones((3, 4))
+        dx, dc = ad.matmul(x, c)._backward(g)
+        assert dc is None and dx.tobytes() == (c.data @ g.T).T.tobytes()
+        dc, dx = ad.matmul(ad.ones(4, 3), x)._backward(np.ones((4, 2)))
+        assert dc is None and dx.shape == (3, 2)
+        dx, ds = ad.mul(x, 0.5)._backward(np.ones((3, 2)))
+        assert ds is None and np.all(dx == 0.5)
+        ds, dx = ad.mul(ad.constant(2.0), x)._backward(np.ones((3, 2)))
+        assert ds is None and np.all(dx == 2.0)
+
     def test_non_scalar_loss_rejected(self):
         x = ad.param(np.ones(3))
         with pytest.raises(ad.ShapeError):

@@ -207,6 +207,42 @@ class TestEval:
         assert "label" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag", ["--data", "--reference"])
+    @pytest.mark.parametrize("ckpt_width, bad_width", [(2, 1), (1, 3)])
+    def test_input_width_mismatch_exits_2(self, tmp_path, capsys, flag,
+                                          ckpt_width, bad_width):
+        from uga.data import write_vector_csv
+        rng = np.random.default_rng(0)
+        train_dir = tmp_path / "train"
+        train_dir.mkdir()
+        write_vector_csv(train_dir / "source.csv",
+                         rng.normal(size=(40, ckpt_width)), rng.normal(size=40))
+        run = run_train(tmp_path, train_dir, iterations=2)
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_vector_csv(good, rng.normal(size=(5, ckpt_width)), rng.normal(size=5))
+        write_vector_csv(bad, rng.normal(size=(5, bad_width)), rng.normal(size=5))
+        data, ref = (bad, good) if flag == "--data" else (good, bad)
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                         "--data", str(data), "--reference", str(ref),
+                         "--out", str(tmp_path / "m.csv"),
+                         "--task", "t", "--method", "m"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: {bad_width} input columns, "
+            f"the checkpoint expects {ckpt_width}\n")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_sequence_checkpoint_exits_2(self, tmp_path, tiny_data, capsys):
+        from uga.models import SeqEncoderSpec, build_bundle, save_checkpoint
+        ckpt = tmp_path / "seq.bin"
+        save_checkpoint(build_bundle(SeqEncoderSpec(window_len=4)), ckpt)
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--data", str(tiny_data / "target.csv"),
+                         "--out", str(tmp_path / "m.csv"),
+                         "--task", "t", "--method", "m"]) == 2
+        assert "seq extractor" in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_passing_build(self, capsys):
         assert cli.main(["gradcheck", "--seed", "0"]) == 0

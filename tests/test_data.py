@@ -181,6 +181,21 @@ class TestIngestion:
         with pytest.raises(ValueError, match="soc"):
             ingest_battery_csv(path)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("time_s,voltage_v,current_a,temp_c,cycle\n0,3.5,1,25,US06\n",
+         "missing column 'soc'"),
+        ("time_s,voltage_v,current_a,temp_c,soc,cycle\n0,3.5,1,25,1.0,US06\n"
+         "1,3.5,1,25,-0.1,US06\n", "outside [0, 1] at row 3"),
+        ("time_s,voltage_v,current_a,temp_c,soc,cycle\n0,3.5,1,25,1.0,US06\n"
+         "0,3.5,1,25,0.9,US06\n", "non-monotone time within cycle 'US06' at row 3"),
+    ])
+    def test_schema_errors_name_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "pack.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            ingest_battery_csv(path)
+        assert str(err.value).startswith(f"{path}: ") and problem in str(err.value)
+
     @pytest.mark.parametrize("row", ["0,nan,1,25,1.0,US06",
                                      "0,3.5,inf,25,1.0,US06",
                                      "0,3.5,1,-inf,1.0,US06",

@@ -148,6 +148,25 @@ class TestTrainConfig:
             tr.TrainConfig(**{field: value})
         assert getattr(tr.TrainConfig(**{field: np.int64(3)}), field) == 3
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("lr", float("inf")),
+        ("lr", {"head": 0.1, "extractor": float("nan")}),
+        ("lr", {"head": float("inf"), "extractor": 0.1}),
+        ("clip_norm", float("nan")), ("clip_norm", float("inf")),
+        ("lambda_evi", float("nan")), ("lambda_evi", float("inf")),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("aug_weight", -1.0), ("aug_weight", float("nan")), ("aug_weight", float("inf")),
+        ("momentum", float("nan")),
+        ("seed", 2.5), ("seed", True), ("seed", "1"),
+    ])
+    def test_non_finite_and_bad_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match="lr" if field == "lr" else field):
+            tr.TrainConfig(**{field: value})
+
+    def test_nan_literal_in_json_rejected(self):
+        with pytest.raises(ValueError, match="clip_norm"):
+            tr.TrainConfig.from_json('{"clip_norm": NaN}')
+
     def test_group_lrs_scalar_broadcast(self):
         assert tr.TrainConfig(lr=0.01).group_lrs() == {
             "head": 0.01, "extractor": 0.01}
