@@ -84,16 +84,29 @@ def median_bandwidth(X, Y) -> float:
     """Median of nonzero pairwise squared distances over the pooled samples.
 
     Self-pairs are excluded; if every pairwise distance is zero the declared
-    fallback value 1.0 is returned.
+    fallback value 1.0 is returned.  The result has the bits of
+    np.median(d2[d2 > 0]), but the median is selected in place in the
+    array pdist returns, without the two copies that form would make.
     """
     pool = np.concatenate([_as_matrix(X), _as_matrix(Y)], axis=0)
     if pool.shape[0] < 2:
         raise ValueError("median_bandwidth needs at least 2 points")
+    if not np.all(np.isfinite(pool)):
+        raise ValueError("median_bandwidth needs finite samples")
     d2 = scipy.spatial.distance.pdist(pool, metric="sqeuclidean")
-    d2 = d2[d2 > 0]
-    if d2.size == 0:
+    # Every entry is >= 0, so the zeros sort first and the nonzero median
+    # sits m // 2 places after them.
+    zeros = d2.size - np.count_nonzero(d2)
+    m = d2.size - zeros
+    if m == 0:
         return 1.0
-    return float(np.median(d2))
+    k = zeros + m // 2
+    d2.partition(k)
+    hi = d2[k]
+    if m % 2:
+        return float(hi)
+    # Even count: join the two middles the way np.median's mean does.
+    return float((d2[:k].max() + hi) / 2.0)
 
 
 def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:

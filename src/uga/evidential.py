@@ -14,7 +14,7 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from . import autodiff as ad
 
@@ -198,5 +198,7 @@ def predictive_interval(p: NigOutput, level: float) -> tuple[np.ndarray, np.ndar
     scale = np.sqrt(beta * (1.0 + nu) / (nu * alpha))
     if level == 0.0:
         return gamma.copy(), gamma.copy()
-    q = scipy.stats.t.ppf(0.5 * (1.0 + level), df=2.0 * alpha)
+    # The Student-t quantile: scipy.stats.t.ppf returns the same bits, but
+    # scipy.stats is slow to import and this is all uga needs of it.
+    q = scipy.special.stdtrit(2.0 * alpha, 0.5 * (1.0 + level))
     return gamma - q * scale, gamma + q * scale

@@ -77,10 +77,22 @@ def r2(preds, labels) -> float:
     if preds.size < 2:
         raise ValueError("r2 needs at least 2 samples")
     ss_tot = float(np.sum((labels - labels.mean()) ** 2))
-    if ss_tot == 0.0:
+    # Constant labels need not give ss_tot == 0: the mean of three 0.4s
+    # rounds to 0.4000000000000001.
+    if ss_tot == 0.0 or np.all(labels == labels[0]):
         raise ValueError("r2 undefined for constant labels")
     ss_res = float(np.sum((labels - preds) ** 2))
     return 1.0 - ss_res / ss_tot
+
+
+def _r2_or_none(preds, labels) -> float | None:
+    """r2, or None for the two cases where it is undefined: fewer than two
+    samples and constant labels (the only ValueErrors r2 raises once the
+    pair has passed mae's checks)."""
+    try:
+        return r2(preds, labels)
+    except ValueError:
+        return None
 
 
 def coverage(intervals, labels) -> float:
@@ -97,11 +109,12 @@ def coverage(intervals, labels) -> float:
 @dataclasses.dataclass(frozen=True)
 class MetricsReport:
     """Pure function of (checkpoint, dataset); uncertainty fields are None
-    for point-head models, posterior_gap is None without a reference set."""
+    for point-head models, posterior_gap is None without a reference set,
+    r2 is None where it is undefined (one row, or constant labels)."""
 
     mae: float
     mse: float
-    r2: float
+    r2: float | None
     coverage90: float | None
     mean_aleatoric: float | None
     mean_epistemic: float | None
@@ -111,7 +124,7 @@ class MetricsReport:
     def __post_init__(self):
         if self.mae < 0 or self.mse < 0:
             raise ValueError("mae and mse must be nonnegative")
-        if self.r2 > 1.0:
+        if self.r2 is not None and self.r2 > 1.0:
             raise ValueError("r2 cannot exceed 1")
         if self.coverage90 is not None and not 0.0 <= self.coverage90 <= 1.0:
             raise ValueError("coverage must be a fraction")
@@ -156,16 +169,15 @@ def evaluate(bundle: ModelBundle, dataset: LabeledSet, level: float = 0.9,
     if len(dataset) == 0:
         raise ValueError("empty evaluation set")
     out = _forward_chunks(bundle, dataset.inputs)
+    preds = out[:, 0]
+    scores = dict(mae=mae(preds, dataset.labels),
+                  mse=mse(preds, dataset.labels),
+                  r2=_r2_or_none(preds, dataset.labels))
     if bundle.head_kind != "evidential":
-        preds = out[:, 0]
-        return MetricsReport(mae=mae(preds, dataset.labels),
-                             mse=mse(preds, dataset.labels),
-                             r2=r2(preds, dataset.labels),
-                             coverage90=None, mean_aleatoric=None,
+        return MetricsReport(**scores, coverage90=None, mean_aleatoric=None,
                              mean_epistemic=None, mean_total=None,
                              posterior_gap=None)
     p = NigOutput.from_values(out[:, 0], out[:, 1], out[:, 2], out[:, 3])
-    preds = out[:, 0]
     al, ep = uncertainties(p)
     gap = None
     if reference_inputs is not None:
@@ -173,9 +185,7 @@ def evaluate(bundle: ModelBundle, dataset: LabeledSet, level: float = 0.9,
         with ad.no_grad():
             gap = mmd2_biased(out[:, 1:4], ref[:, 1:4]).item()
     return MetricsReport(
-        mae=mae(preds, dataset.labels),
-        mse=mse(preds, dataset.labels),
-        r2=r2(preds, dataset.labels),
+        **scores,
         coverage90=coverage(predictive_interval(p, level), dataset.labels),
         mean_aleatoric=float(al.mean()),
         mean_epistemic=float(ep.mean()),

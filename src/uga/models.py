@@ -10,7 +10,9 @@ versioned checkpoint file.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -124,6 +126,28 @@ def _uniform_init(rng, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
+def _param_shapes(spec, head_kind: str):
+    """Yield (name, shape) of every parameter in initialization and
+    checkpoint order."""
+    if isinstance(spec, MlpSpec):
+        widths = spec.layer_widths
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            yield f"mlp.{i}.W", (fan_in, fan_out)
+            yield f"mlp.{i}.b", (1, fan_out)
+    elif isinstance(spec, SeqEncoderSpec):
+        h = spec.hidden_dim
+        for layer in range(spec.num_layers):
+            in_dim = spec.input_dim if layer == 0 else h
+            yield f"lstm.{layer}.Wx", (in_dim, 4 * h)
+            yield f"lstm.{layer}.Wh", (h, 4 * h)
+            yield f"lstm.{layer}.b", (1, 4 * h)
+    else:
+        raise TypeError(f"unsupported spec type {type(spec).__name__}")
+    head_dim = 4 if head_kind == "evidential" else 1
+    yield "head.W", (spec.feature_dim, head_dim)
+    yield "head.b", (1, head_dim)
+
+
 def build_bundle(spec, head_kind: str = "evidential", seed: int = 0) -> ModelBundle:
     """Initialize all parameters from the seed; fixed draw order.
 
@@ -132,26 +156,15 @@ def build_bundle(spec, head_kind: str = "evidential", seed: int = 0) -> ModelBun
     """
     rng = np.random.default_rng(seed)
     params: dict[str, ad.Tensor] = {}
-    if isinstance(spec, MlpSpec):
-        widths = spec.layer_widths
-        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            params[f"mlp.{i}.W"] = ad.param(_uniform_init(rng, fan_in, (fan_in, fan_out)))
-            params[f"mlp.{i}.b"] = ad.param(np.zeros((1, fan_out)))
-    elif isinstance(spec, SeqEncoderSpec):
-        h = spec.hidden_dim
-        for layer in range(spec.num_layers):
-            in_dim = spec.input_dim if layer == 0 else h
-            params[f"lstm.{layer}.Wx"] = ad.param(_uniform_init(rng, in_dim, (in_dim, 4 * h)))
-            params[f"lstm.{layer}.Wh"] = ad.param(_uniform_init(rng, h, (h, 4 * h)))
-            bias = np.zeros((1, 4 * h))
-            bias[0, h:2 * h] = 1.0  # forget gate
-            params[f"lstm.{layer}.b"] = ad.param(bias)
-    else:
-        raise TypeError(f"unsupported spec type {type(spec).__name__}")
-    head_dim = 4 if head_kind == "evidential" else 1
-    params["head.W"] = ad.param(_uniform_init(rng, spec.feature_dim,
-                                              (spec.feature_dim, head_dim)))
-    params["head.b"] = ad.param(np.zeros((1, head_dim)))
+    for name, shape in _param_shapes(spec, head_kind):
+        if name.endswith(".b"):
+            value = np.zeros(shape)
+            if name.startswith("lstm."):
+                h = shape[1] // 4
+                value[0, h:2 * h] = 1.0  # forget gate
+        else:
+            value = _uniform_init(rng, shape[0], shape)
+        params[name] = ad.param(value)
     return ModelBundle(spec=spec, head_kind=head_kind, params=params)
 
 
@@ -230,13 +243,31 @@ def _spec_to_dict(spec) -> dict:
     return d
 
 
-def _spec_from_dict(kind: str, d: dict):
-    if kind == "mlp":
-        return MlpSpec(layer_widths=tuple(d["layer_widths"]),
-                       activation=d["activation"], dropout_p=d["dropout_p"])
-    if kind == "seq":
-        return SeqEncoderSpec(**d)
-    raise ValueError(f"unknown extractor kind {kind!r}")
+def _spec_field_ok(name: str, value) -> bool:
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+    if name == "layer_widths":
+        return isinstance(value, list) and all(is_int(w) for w in value)
+    if name == "activation":
+        return isinstance(value, str)
+    if name == "dropout_p":
+        return is_int(value) or isinstance(value, float)
+    return is_int(value)  # the SeqEncoderSpec sizes
+
+
+def _spec_from_dict(kind: str, d) -> MlpSpec | SeqEncoderSpec:
+    """Rebuild a spec from checkpoint JSON; a missing, extra or mistyped
+    field raises ValueError."""
+    cls = {"mlp": MlpSpec, "seq": SeqEncoderSpec}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown extractor kind {kind!r}")
+    names = {f.name for f in dataclasses.fields(cls)}
+    if not isinstance(d, dict) or set(d) != names:
+        raise ValueError(f"{kind} spec needs exactly the fields {sorted(names)}")
+    for name, value in d.items():
+        if not _spec_field_ok(name, value):
+            raise ValueError(f"{kind} spec field {name!r} has bad value {value!r}")
+    return cls(**d)
 
 
 def save_checkpoint(bundle: ModelBundle, path) -> None:
@@ -263,6 +294,7 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
+    """Read a save_checkpoint file; malformed content raises ValueError."""
     with open(path, "rb") as f:
         raw = f.read()
     end = raw.find(b"END\n")
@@ -277,20 +309,23 @@ def load_checkpoint(path) -> ModelBundle:
         if key not in fields:
             raise ValueError(f"corrupt checkpoint: header has no {key!r} line")
     spec = _spec_from_dict(fields["extractor"], json.loads(fields["spec"]))
-    count = int(fields["params"])
-    names = []
-    shapes = []
-    for line in header[5:5 + count]:
-        name, shape_csv = line.split(" ")
-        names.append(name)
-        shapes.append(tuple(int(s) for s in shape_csv.split(",")))
+    listed = header[5:]
+    if fields["params"] != str(len(listed)):
+        raise ValueError(f"corrupt checkpoint: params {fields['params']!r} "
+                         f"but {len(listed)} parameter lines")
+    # At most one more than listed, so a corrupt spec cannot make this long.
+    layout = list(itertools.islice(_param_shapes(spec, fields["head"]),
+                                   len(listed) + 1))
+    expected = [f"{name} {','.join(map(str, shape))}" for name, shape in layout]
+    if listed != expected:
+        raise ValueError("corrupt checkpoint: parameter lines do not match the spec")
+    if 8 * sum(math.prod(shape) for _name, shape in layout) != len(blob):
+        raise ValueError("corrupt checkpoint: trailing or missing data")
     params: dict[str, ad.Tensor] = {}
     offset = 0
-    for name, shape in zip(names, shapes):
-        n = int(np.prod(shape))
+    for name, shape in layout:
+        n = math.prod(shape)
         vals = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
         offset += n * 8
         params[name] = ad.param(vals.reshape(shape).astype(np.float64))
-    if offset != len(blob):
-        raise ValueError("corrupt checkpoint: trailing or missing data")
     return ModelBundle(spec=spec, head_kind=fields["head"], params=params)

@@ -52,7 +52,10 @@ class TrainConfig:
 
     lr may be a single number or {"head": ..., "extractor": ...} for
     per-group rates.  clip_norm bounds the global gradient norm; null in
-    JSON disables clipping.
+    JSON disables clipping.  With alignment on, a batch_size above 128 that
+    is not a multiple of 8 makes results depend on the BLAS thread count
+    (OpenBLAS rounds one input-gradient product differently per thread
+    count at those sizes); smaller batches and multiples of 8 do not.
     """
 
     alignment: AlignmentKind = AlignmentKind.NONE

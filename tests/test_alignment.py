@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.spatial.distance
 
 from uga import autodiff as ad
 from uga import gradcheck as gc
@@ -67,6 +70,92 @@ class TestMedianBandwidth:
         rng = np.random.default_rng(3)
         X, Y = rng.normal(size=(6, 3)), rng.normal(size=(9, 3))
         assert median_bandwidth(X, Y) == median_bandwidth(Y, X)
+
+    def test_nonfinite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                median_bandwidth([[0.0], [bad]], [[1.0]])
+
+
+def median_bandwidth_ref(X, Y):
+    """The copying formula the in-place selection replaces."""
+    X = np.asarray(X, dtype=np.float64).reshape(len(X), -1)
+    Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), -1)
+    d2 = scipy.spatial.distance.pdist(np.concatenate([X, Y]), "sqeuclidean")
+    d2 = d2[d2 > 0]
+    return 1.0 if d2.size == 0 else float(np.median(d2))
+
+
+class TestInPlaceMedian:
+    """median_bandwidth against np.median(d2[d2 > 0]): same bits."""
+
+    @staticmethod
+    def assert_bits(X, Y):
+        got, want = median_bandwidth(X, Y), median_bandwidth_ref(X, Y)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        return got
+
+    def test_duplicate_points_odd_and_even_counts(self):
+        # Grid points repeat, so many distances are zero; the pool sizes
+        # give both parities of the nonzero count.
+        rng = np.random.default_rng(61)
+        parities = set()
+        for _ in range(400):
+            n, m, d = rng.integers(1, 10), rng.integers(1, 10), rng.integers(1, 4)
+            X = rng.integers(0, 3, size=(n, d)) * 0.7
+            Y = rng.integers(0, 3, size=(m, d)) * 0.7
+            pool = np.concatenate([X, Y])
+            nonzero = np.count_nonzero(scipy.spatial.distance.pdist(pool, "sqeuclidean"))
+            if nonzero:
+                parities.add(nonzero % 2)
+            self.assert_bits(X, Y)
+        assert parities == {0, 1}
+
+    def test_lower_middle_is_the_largest_entry_below_k(self):
+        # After partition(k) the entries below k are unordered; at 780
+        # distances the one at k - 1 is sometimes not the lower middle.
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            self.assert_bits(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)))
+
+    def test_even_count_averages_the_two_middles(self):
+        # 14 nonzero squared distances (the repeated 0 adds a zero one);
+        # the middle two are 16 and 25
+        X = [[0.0], [0.0], [1.0]]
+        assert self.assert_bits(X, [[3.0], [6.0], [10.0]]) == 20.5
+
+    def test_all_zero_fallback(self):
+        assert self.assert_bits(np.full((4, 2), 0.3), np.full((3, 2), 0.3)) == 1.0
+
+    def test_one_dimensional_inputs(self):
+        rng = np.random.default_rng(67)
+        for n, m in ((5, 6), (5, 5), (1, 1), (40, 33)):
+            self.assert_bits(rng.normal(size=n), rng.normal(size=m) + 1.0)
+
+    @pytest.mark.parametrize("xs, ys", [((128, 132), (128, 132)),
+                                        ((2000, 3), (2000, 3))])
+    def test_training_and_evaluation_shapes(self, xs, ys):
+        rng = np.random.default_rng(71)
+        X = rng.normal(size=xs)
+        Y = rng.normal(loc=0.5, size=ys)
+        Y[:10] = X[:10]  # a few exact cross-domain duplicates
+        self.assert_bits(X, Y)
+
+    def test_no_grad_mmd_peak_memory(self):
+        # evaluate's posterior gap: 2,000 + 2,000 rows of [nu, alpha, beta].
+        # The pdist vector alone is 64 MB; the copying median needed two
+        # more of it (136 MB peak), the in-place one none.
+        rng = np.random.default_rng(73)
+        X = rng.normal(size=(2000, 3))
+        Y = rng.normal(loc=0.5, size=(2000, 3))
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                mmd2_biased(X, Y)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 96e6
 
 
 class TestKernelBank:

@@ -243,6 +243,49 @@ class TestEval:
         assert "seq extractor" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("labels", [[0.4], [0.4, 0.4, 0.4]])
+    def test_undefined_r2_writes_empty_cell(self, tmp_path, tiny_data, capsys,
+                                            labels):
+        # one row, or constant labels: R^2 is undefined
+        from uga.data import write_vector_csv
+        run = run_train(tmp_path, tiny_data)
+        data = tmp_path / "few.csv"
+        write_vector_csv(data, np.linspace(-1.0, 1.0, len(labels))[:, None],
+                         np.array(labels))
+        out = tmp_path / "m.csv"
+        assert cli.main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                         "--data", str(data), "--out", str(out),
+                         "--task", "t", "--method", "m",
+                         "--reference", str(tiny_data / "source.csv")]) == 0
+        row = read_metrics_csv(out)[0]
+        assert row["r2"] == ""
+        assert np.isfinite(float(row["mae"]))
+        assert float(row["posterior_gap"]) >= 0.0
+        report = tmp_path / "report.csv"
+        assert cli.main(["report", str(out), "--metric", "r2",
+                         "--out", str(report)]) == 0
+        assert report.read_text().splitlines() == ["task,m", "t,"]
+        capsys.readouterr()
+
+    def test_malformed_checkpoint_spec_exits_2(self, tmp_path, tiny_data,
+                                               capsys):
+        run = run_train(tmp_path, tiny_data)
+        ckpt = run / "checkpoint.bin"
+        lines = ckpt.read_bytes().split(b"\n")
+        spec = next(i for i, l in enumerate(lines) if l.startswith(b"spec "))
+        lines[spec] = lines[spec].replace(b'"layer_widths": [1, 8, 8]',
+                                          b'"layer_widths": 8')
+        ckpt.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--data", str(tiny_data / "target.csv"),
+                         "--out", str(tmp_path / "m.csv"),
+                         "--task", "t", "--method", "m"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad checkpoint:") and err.count("\n") == 1
+        assert "layer_widths" in err
+
+
 class TestGradcheck:
     def test_passing_build(self, capsys):
         assert cli.main(["gradcheck", "--seed", "0"]) == 0

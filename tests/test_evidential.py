@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
 
+import uga
 from uga import autodiff as ad
 from uga import gradcheck as gc
 from uga.evidential import (
@@ -211,3 +218,32 @@ class TestPredictiveInterval:
             predictive_interval(unit_nig(), 1.0)
         with pytest.raises(ValueError):
             predictive_interval(unit_nig(), -0.1)
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_quantile_bits_match_scipy_stats(self, level):
+        # predictive_interval calls scipy.special.stdtrit; the interval must
+        # keep the bits of the scipy.stats.t.ppf form it replaced.
+        rng = np.random.default_rng(79)
+        n = 5000
+        alpha = 1.0 + rng.exponential(3.0, n) * rng.choice([1e-6, 1.0, 1e3], n)
+        p = NigOutput.from_values(rng.normal(size=n), rng.uniform(0.1, 5, n),
+                                  alpha, rng.uniform(0.1, 5, n))
+        scale = np.sqrt(p.beta.data.ravel() * (1.0 + p.nu.data.ravel())
+                        / (p.nu.data.ravel() * alpha))
+        q = scipy.stats.t.ppf(0.5 * (1.0 + level), df=2.0 * alpha)
+        gamma = p.gamma.data.ravel()
+        lo, hi = predictive_interval(p, level)
+        assert lo.tobytes() == (gamma - q * scale).tobytes()
+        assert hi.tobytes() == (gamma + q * scale).tobytes()
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # uga.cli imports every module of the package.
+    src_dir = str(Path(uga.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, uga.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -43,6 +43,12 @@ class TestBasicMetrics:
         with pytest.raises(ValueError):
             mt.r2([1.0, 2.0], [3.0, 3.0])
 
+    def test_r2_constant_labels_with_inexact_mean_rejected(self):
+        labels = [0.4, 0.4, 0.4]
+        assert np.mean(labels) != 0.4  # so the squared deviations are not 0
+        with pytest.raises(ValueError, match="constant"):
+            mt.r2([0.1, 0.2, 0.3], labels)
+
     def test_empty_and_mismatched_rejected(self):
         with pytest.raises(ValueError):
             mt.mae([], [])
@@ -124,6 +130,17 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             mt.evaluate(trained_stub(), LabeledSet(np.zeros((0, 2)), np.zeros(0)))
 
+    @pytest.mark.parametrize("head_kind", ["evidential", "point"])
+    @pytest.mark.parametrize("n, labels", [(1, [0.3]), (5, [0.3] * 5)])
+    def test_undefined_r2_is_none(self, head_kind, n, labels):
+        # one row, or constant labels: R^2 is undefined, the rest is scored
+        inputs = np.random.default_rng(7).normal(size=(n, 2))
+        rep = mt.evaluate(trained_stub(head_kind=head_kind),
+                          LabeledSet(inputs, np.array(labels)),
+                          reference_inputs=toy_set(seed=2).inputs)
+        assert rep.r2 is None
+        assert np.isfinite(rep.mae) and np.isfinite(rep.mse)
+
 
 class TestHistograms:
     def test_row_count_is_sum_of_domains(self):
@@ -151,6 +168,12 @@ class TestHistograms:
         with pytest.raises(ValueError):
             mt.uncertainty_histograms(trained_stub(head_kind="point"),
                                       {"d": np.zeros((3, 2))})
+
+    def test_undefined_r2_allowed(self):
+        rep = mt.MetricsReport(mae=0.0, mse=0.0, r2=None, coverage90=None,
+                               mean_aleatoric=None, mean_epistemic=None,
+                               mean_total=None, posterior_gap=None)
+        assert rep.r2 is None
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -184,6 +207,12 @@ class TestCsvArtifacts:
         back = mt.read_metrics_csv(path)
         assert back[0]["coverage90"] == ""
         assert back[0]["posterior_gap"] == ""
+
+    def test_undefined_r2_written_as_empty_marker(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        mt.write_metrics_csv(path, [mt.MetricsRow("t", "m", 0,
+                                                  self.report(r2=None))])
+        assert mt.read_metrics_csv(path)[0]["r2"] == ""
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"

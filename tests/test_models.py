@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uga import autodiff as ad
 from uga import gradcheck as gc
@@ -272,6 +276,109 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+
+_JSON_VALUES = [0, 1, 8, -3, 2.5, float("nan"), 1e300, True, None, "8",
+                "tanh", "relu", [], [8], [1, 2], [1.5, 2], ["1", 2], {},
+                {"a": 1}]
+
+
+@st.composite
+def _corrupted_header(draw, valid: bytes) -> bytes:
+    """Mutate the header of a valid checkpoint: either its spec JSON
+    (drop, add or retype a field) or its raw bytes (truncate, overwrite,
+    insert, delete)."""
+    end = valid.index(b"END\n") + 4
+    header, blob = bytearray(valid[:end]), valid[end:]
+    if draw(st.booleans()):
+        lines = bytes(header).split(b"\n")
+        i = next(k for k, l in enumerate(lines) if l.startswith(b"spec "))
+        spec = json.loads(lines[i][5:])
+        key = draw(st.sampled_from(sorted(spec) + ["extra"]))
+        if draw(st.booleans()) and key in spec:
+            del spec[key]
+        else:
+            spec[key] = draw(st.sampled_from(_JSON_VALUES))
+        lines[i] = b"spec " + json.dumps(spec).encode()
+        return b"\n".join(lines) + blob
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(header)))
+        edit = draw(st.sampled_from(["truncate", "overwrite", "insert", "delete"]))
+        if edit == "truncate":
+            del header[pos:]
+        elif edit == "overwrite" and pos < len(header):
+            header[pos] = draw(st.integers(0, 255))
+        elif edit == "insert":
+            header[pos:pos] = draw(st.binary(min_size=1, max_size=6))
+        else:
+            del header[pos:pos + draw(st.integers(1, 6))]
+    return bytes(header) + blob
+
+
+class TestCheckpointFuzz:
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        bundles = [
+            build_bundle(MlpSpec(layer_widths=(2, 3, 2)), seed=5),
+            build_bundle(SeqEncoderSpec(num_layers=2, hidden_dim=2, input_dim=1,
+                                        window_len=3), head_kind="point", seed=6),
+        ]
+        blobs = []
+        for k, bundle in enumerate(bundles):
+            path = tmp_path_factory.mktemp("fuzz") / f"valid{k}.ckpt"
+            save_checkpoint(bundle, path)
+            blobs.append(path.read_bytes())
+        return blobs
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupt_header_loads_or_raises_value_error(self, valid, tmp_path,
+                                                        data):
+        raw = data.draw(_corrupted_header(data.draw(st.sampled_from(valid))))
+        path = tmp_path / "fuzzed.ckpt"
+        path.write_bytes(raw)
+        try:
+            bundle = load_checkpoint(path)
+        except ValueError:
+            return
+        # whatever loads is a consistent bundle: it saves and reloads as is
+        save_checkpoint(bundle, path)
+        again = load_checkpoint(path)
+        assert (again.spec, again.head_kind) == (bundle.spec, bundle.head_kind)
+        for (na, ta), (nb, tb) in zip(bundle.named_parameters(),
+                                      again.named_parameters()):
+            assert na == nb and ta.data.tobytes() == tb.data.tobytes()
+
+    @pytest.mark.parametrize("spec_json, match", [
+        ('{"activation": "tanh", "dropout_p": 0.1}', "exactly the fields"),
+        ('{"activation": "tanh", "dropout_p": 0.1, "layer_widths": 8}',
+         "layer_widths"),
+        ('{"activation": "tanh", "dropout_p": 0.1, "layer_widths": [2, "3"]}',
+         "layer_widths"),
+        ('{"activation": ["tanh"], "dropout_p": 0.1, "layer_widths": [2, 3]}',
+         "activation"),
+        ('[2, 3]', "exactly the fields"),
+    ])
+    def test_malformed_spec_raises_value_error(self, tmp_path, spec_json, match):
+        bundle = build_bundle(MlpSpec(layer_widths=(2, 3)), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(bundle, path)
+        lines = path.read_bytes().split(b"\n")
+        i = next(k for k, l in enumerate(lines) if l.startswith(b"spec "))
+        lines[i] = b"spec " + spec_json.encode()
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    def test_parameter_lines_must_match_spec(self, tmp_path):
+        bundle = build_bundle(MlpSpec(layer_widths=(2, 3)), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(bundle, path)
+        path.write_bytes(path.read_bytes().replace(b"mlp.0.W 2,3",
+                                                   b"mlp.0.W 3,2"))
+        with pytest.raises(ValueError, match="do not match the spec"):
             load_checkpoint(path)
 
 
