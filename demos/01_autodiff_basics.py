@@ -49,11 +49,10 @@ params = [w1, b1, w2, b2]
 
 
 def forward(x):
-    # bias rows are expanded with a ones-matmul; elementwise ops here
+    # add_row adds a (1, d) bias row to every row; elementwise ops here
     # require matching shapes rather than silent broadcasting
-    n = x.shape[0]
-    hcol = ad.tanh(ad.matmul(ad.constant(x), w1) + ad.matmul(ad.ones(n, 1), b1))
-    return ad.matmul(hcol, w2) + ad.matmul(ad.ones(n, 1), b2)
+    hcol = ad.tanh(ad.add_row(ad.matmul(ad.constant(x), w1), b1))
+    return ad.add_row(ad.matmul(hcol, w2), b2)
 
 
 for step in range(400):

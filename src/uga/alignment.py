@@ -171,8 +171,7 @@ def posterior_vector(p: NigOutput) -> ad.Tensor:
 
 def _covariance(X: ad.Tensor) -> ad.Tensor:
     n = X.shape[0]
-    mean_row = ad.matmul(ad.ones(1, n), X) * (1.0 / n)          # (1, d)
-    centered = X - ad.matmul(ad.ones(n, 1), mean_row)
+    centered = ad.add_row(X, ad.sum_rows(X) * (-1.0 / n))
     return ad.matmul(ad.transpose(centered), centered) * (1.0 / (n - 1))
 
 

@@ -6,8 +6,9 @@ walks the recorded graph exactly once in reverse and accumulates gradients
 into the `.grad` buffers of the leaves that require them.
 
 Shape rules are deliberately small: elementwise ops require equal shapes or
-a size-1 operand (scalar broadcast), matmul is strictly 2-D. Row and column
-expansion is done explicitly with `ones` + matmul at call sites.
+a size-1 operand (scalar broadcast), matmul is strictly 2-D. Row expansion
+and reduction are explicit ops: `add_row` adds a (1, d) row to every row of
+an (n, d) tensor and `sum_rows` gives its (1, d) column sums.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from . import special
 __all__ = [
     "Tensor", "ShapeError", "DomainError", "no_grad", "constant", "param",
     "add", "sub", "mul", "div", "pow", "neg", "exp", "log", "tanh",
-    "sigmoid", "softplus", "abs", "sum", "mean", "concat", "slice_last",
-    "matmul", "transpose", "reshape", "lgamma", "digamma", "lstm", "mmd",
-    "backward", "ones", "zeros",
+    "sigmoid", "softplus", "abs", "sum", "mean", "add_row", "sum_rows",
+    "concat", "slice_last", "matmul", "transpose", "reshape", "lgamma",
+    "lstm", "mmd", "backward", "ones", "zeros",
 ]
 
 class ShapeError(ValueError):
@@ -352,11 +353,6 @@ def lgamma(a) -> Tensor:
     return Tensor._from_op(out, (a,), backward_fn)
 
 
-def digamma(x):
-    """Forward-only psi(x); exposed for diagnostics and gradient rules."""
-    return special.digamma(x)
-
-
 # -- reductions and structure ------------------------------------------------
 
 def sum(a) -> Tensor:
@@ -376,6 +372,37 @@ def mean(a) -> Tensor:
         return (np.broadcast_to(g / n, a.data.shape).copy(),)
 
     return Tensor._from_op(np.mean(a.data), (a,), backward_fn)
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    # A ones-row product, not np.sum: np.sum rounds differently, and these
+    # bits reach every bias gradient.
+    return np.ones((1, a.shape[0])) @ a
+
+
+def add_row(a, row) -> Tensor:
+    """Add the (1, d) `row` to every row of the (n, d) tensor `a`."""
+    a, row = _as_tensor(a), _as_tensor(row)
+    if a.data.ndim != 2 or row.data.shape != (1, a.data.shape[1]):
+        raise ShapeError(f"add_row needs (n, d) and (1, d) operands, "
+                         f"got {a.data.shape} and {row.data.shape}")
+
+    def backward_fn(g):
+        return g, _column_sums(g) if row.requires_grad else None
+
+    return Tensor._from_op(a.data + row.data, (a, row), backward_fn)
+
+
+def sum_rows(a) -> Tensor:
+    """(1, d) column sums of an (n, d) tensor."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeError(f"sum_rows needs an (n, d) tensor, got {a.data.shape}")
+
+    def backward_fn(g):
+        return (np.broadcast_to(g, a.data.shape).copy(),)
+
+    return Tensor._from_op(_column_sums(a.data), (a,), backward_fn)
 
 
 def concat(tensors: Sequence) -> Tensor:
@@ -460,13 +487,6 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
 # -- fused recurrent encoder -------------------------------------------------
 
-def _fold_steps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over t of a[t].T @ b[t], added latest step first: the order in
-    which the per-step tape accumulates a parameter's gradient (db there is
-    a ones-row matmul, hence the same form for it)."""
-    return np.add.reduce(np.matmul(a[::-1].transpose(0, 2, 1), b[::-1]), axis=0)
-
-
 def lstm(x, layers: Sequence[tuple]) -> Tensor:
     """Stacked LSTM over a (B, T, in) window; returns the top layer's final
     hidden state (B, h) as a single tape node.
@@ -474,11 +494,11 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
     `layers` holds one (Wx (in, 4h), Wh (h, 4h), b (1, 4h)) triple per
     layer, gate blocks ordered input, forget, cell, output; h and c start
     at zero.  Each layer's input projections for all T steps come from one
-    stacked (T, B, in) @ (in, 4h) matmul call; the backward pass is a numpy
-    BPTT loop over the stored gates, which are kept only when the call is
-    recorded.  Both follow the float order of the per-step composition of
-    matmul, slice_last, sigmoid, tanh, mul and add, so values and gradients
-    are bit-identical to it.
+    stacked (T, B, in) @ (in, 4h) matmul call, and the forward values are
+    bit-identical to the per-step composition of matmul, slice_last,
+    sigmoid, tanh, mul and add.  The gates are kept only when the call is
+    recorded; backward is plain backpropagation through time over them,
+    which agrees with the per-step tape's gradients to rounding.
     """
     x = _as_tensor(x)
     if x.data.ndim != 3:
@@ -526,45 +546,39 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
 
     def backward_fn(grad):
         grads = []
-        d_out = None   # (T, B, h): gradient reaching each step's h from above
+        d_in = None   # (T, B, h): gradient reaching each step's h from above
         for layer in range(len(triples) - 1, -1, -1):
             Wx, Wh, _ = triples[layer]
             inp, hs, cs, gates, tanh_c = cache[layer]
             h = Wh.data.shape[0]
-            i_g, f_g, g_g, o_g = (np.ascontiguousarray(gates[..., k * h:(k + 1) * h])
-                                  for k in range(4))
-            # Per-step factors, arranged so that dpre = ((D * M) * S) * Q with
-            # D = [dc, dc, dc, dh] repeats the tape's products in its order:
-            # (dc*g*i)(1-i), (dc*c_prev*f)(1-f), (dc*i*1)(1-g^2), (dh*tc*o)(1-o).
-            M = np.concatenate([g_g, cs[:-1], i_g, tanh_c], axis=-1)
-            S = gates.copy()
-            S[..., 2 * h:3 * h] = 1.0
-            Q = 1.0 - gates
-            Q[..., 2 * h:3 * h] = 1.0 - g_g * g_g
-            one_minus_tc2 = 1.0 - tanh_c * tanh_c
+            i_g, f_g, g_g, o_g = (gates[..., k * h:(k + 1) * h] for k in range(4))
+            # d c_t / d pre for the first three gates and d h_t / d pre for
+            # the output gate, all steps at once.
+            local = np.concatenate([g_g * i_g * (1.0 - i_g),
+                                    cs[:-1] * f_g * (1.0 - f_g),
+                                    i_g * (1.0 - g_g * g_g),
+                                    tanh_c * o_g * (1.0 - o_g)], axis=-1)
+            dc_dh = o_g * (1.0 - tanh_c * tanh_c)   # d h_t / d c_t
             dpres = np.empty((steps, batch, 4 * h))
-            D = np.empty((batch, 4, h))
-            dh = grad if d_out is None else d_out[-1]
-            dc = None
+            dh = grad if d_in is None else d_in[-1]
+            dc = np.zeros((batch, h))
             for t in range(steps - 1, -1, -1):
-                dct = (dh * o_g[t]) * one_minus_tc2[t]
-                dc = dct if dc is None else dc + dct
-                D[:, :3] = dc[:, None]
-                D[:, 3] = dh
+                dc += dh * dc_dh[t]
                 dpre = dpres[t]
-                np.multiply(D.reshape(batch, 4 * h), M[t], out=dpre)
-                dpre *= S[t]
-                dpre *= Q[t]
-                dc = dc * f_g[t]
-                dh = (Wh.data @ dpre.T).T
-                if d_out is not None and t > 0:
-                    dh = dh + d_out[t - 1]
-            grads.append((_fold_steps(inp, dpres), _fold_steps(hs[:-1], dpres),
-                          _fold_steps(np.ones((steps, batch, 1)), dpres)))
-            # Stacked matmuls round each step exactly as a lone product does.
-            d_out = (np.matmul(Wx.data, dpres.transpose(0, 2, 1)).transpose(0, 2, 1)
-                     if layer > 0 or x.requires_grad else None)
-        dx = d_out.transpose(1, 0, 2).copy() if x.requires_grad else None
+                dpre.reshape(batch, 4, h)[:, :3] = dc[:, None]
+                dpre[:, 3 * h:] = dh
+                dpre *= local[t]
+                dc *= f_g[t]
+                dh = dpre @ Wh.data.T
+                if d_in is not None and t > 0:
+                    dh += d_in[t - 1]
+            dpres = dpres.reshape(steps * batch, 4 * h)
+            grads.append((inp.reshape(steps * batch, -1).T @ dpres,
+                          hs[:-1].reshape(steps * batch, h).T @ dpres,
+                          np.ones((1, steps * batch)) @ dpres))
+            d_in = ((dpres @ Wx.data.T).reshape(steps, batch, -1)
+                    if layer > 0 or x.requires_grad else None)
+        dx = d_in.transpose(1, 0, 2).copy() if x.requires_grad else None
         return (dx, *(g for layer in reversed(grads) for g in layer))
 
     return Tensor._from_op(out, parents, backward_fn)

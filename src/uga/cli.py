@@ -123,24 +123,37 @@ def _check_width(bundle, path, inputs: np.ndarray) -> None:
                          f"the checkpoint expects {want}")
 
 
+def _make_dir(path: Path) -> None:
+    """mkdir -p; a path blocked by an existing file is a usage error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot create directory {path}: {e}") from None
+
+
 def _cmd_datagen(args) -> int:
+    out = Path(args.out)
     if args.kind == "battery":
-        series = gen_battery_curves(args.temp, args.cycles, args.seed,
-                                    capacity_ah=args.capacity_ah, hz=args.hz)
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            series = gen_battery_curves(args.temp, args.cycles, args.seed,
+                                        capacity_ah=args.capacity_ah, hz=args.hz)
+        except ValueError as e:
+            raise UsageError(f"bad datagen flags: {e}") from None
+        _make_dir(out.parent)
         write_battery_csv(series, out)
         print(f"wrote {sum(len(s) for s in series)} rows to {out}")
         return 0
 
-    src_spec = SyntheticShiftSpec(n=args.n, noise_sd=args.noise,
-                                  seed=args.seed)
-    tgt_spec = SyntheticShiftSpec(shift=args.shift, scale=args.scale,
-                                  n=args.n, noise_sd=args.noise,
-                                  seed=args.seed + 1)
-    source, target, bounds = make_cubic_shift_pair(src_spec, tgt_spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        src_spec = SyntheticShiftSpec(n=args.n, noise_sd=args.noise,
+                                      seed=args.seed)
+        tgt_spec = SyntheticShiftSpec(shift=args.shift, scale=args.scale,
+                                      n=args.n, noise_sd=args.noise,
+                                      seed=args.seed + 1)
+        source, target, bounds = make_cubic_shift_pair(src_spec, tgt_spec)
+    except ValueError as e:
+        raise UsageError(f"bad datagen flags: {e}") from None
+    _make_dir(out)
     write_vector_csv(out / "source.csv", source.inputs, source.labels)
     write_vector_csv(out / "target.csv", target.inputs, target.labels)
     with open(out / "bounds.json", "w") as f:
@@ -161,8 +174,8 @@ def _write_history_csv(path, history) -> None:
 
 def _cmd_train(args) -> int:
     try:
-        cfg_text = Path(args.config).read_text()
-    except OSError as e:
+        cfg_text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config: {e}") from None
     try:
         cfg = TrainConfig.from_json(cfg_text)
@@ -183,7 +196,7 @@ def _cmd_train(args) -> int:
         raise UsageError(f"bad model flags: {e}") from None
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     started = time.monotonic()
     try:
         bundle, history = train_uga(source, target, cfg, spec)
@@ -219,13 +232,13 @@ def _cmd_eval(args) -> int:
     reference = _load_inputs(args.reference) if args.reference else None
     if reference is not None:
         _check_width(bundle, args.reference, reference)
+    out = Path(args.out)
+    _make_dir(out.parent)
 
     started = time.monotonic()
     report = evaluate(bundle, dataset, reference_inputs=reference)
     elapsed = time.monotonic() - started
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out, [MetricsRow(args.task, args.method, args.seed,
                                        report)])
     fingerprints = {"data": fingerprint_array(dataset.inputs),
@@ -271,7 +284,7 @@ def _cmd_report(args) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out.parent)
     write_report_csv(out, header, table)
     print(f"wrote {out}: {len(table)} tasks x {len(header) - 1} methods")
     return 0

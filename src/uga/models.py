@@ -182,8 +182,7 @@ def _as_batch(x, dim: int) -> ad.Tensor:
 
 
 def _affine(x: ad.Tensor, W: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    rows = x.shape[0]
-    return ad.matmul(x, W) + ad.matmul(ad.ones(rows, 1), b)
+    return ad.add_row(ad.matmul(x, W), b)
 
 
 def mlp_forward(x, bundle: ModelBundle, training: bool = False, rng=None) -> ad.Tensor:

@@ -31,11 +31,8 @@ from .models import ModelBundle, build_bundle, model_forward
 
 __all__ = [
     "TrainConfig",
-    "DomainBatch",
     "HistoryRow",
     "lambda_schedule",
-    "sgd_step",
-    "adam_step",
     "SgdOptimizer",
     "AdamOptimizer",
     "make_optimizer",
@@ -123,14 +120,6 @@ class TrainConfig:
         return cls(**d)
 
 
-@dataclasses.dataclass
-class DomainBatch:
-    """One paired minibatch: labeled source rows, unlabeled target rows."""
-
-    src: LabeledSet
-    tgt: UnlabeledSet
-
-
 @dataclasses.dataclass(frozen=True)
 class HistoryRow:
     iteration: int
@@ -148,74 +137,57 @@ def lambda_schedule(p: float) -> float:
 
 # -- optimizers -------------------------------------------------------------
 
-def _check_shapes(params, grads):
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ad.ShapeError(f"param {p.shape} vs grad {g.shape}")
+class _GroupOptimizer:
+    """The loop shared by both optimizers: (tensors, lr) groups, a missing
+    gradient taken as zero, every shape checked before a group is updated.
+    Subclasses update one parameter in place from its state buffers."""
 
+    n_buffers = 1
 
-def sgd_step(params, grads, lr, momentum=0.0, weight_decay=0.0, velocity=None):
-    """v <- momentum*v + (g + wd*p); p <- p - lr*v.  Mutates params,
-    returns the velocity buffers for the next call."""
-    _check_shapes(params, grads)
-    if velocity is None:
-        velocity = [np.zeros_like(p) for p in params]
-    for p, g, v in zip(params, grads, velocity):
-        v[...] = momentum * v + (g + weight_decay * p)
-        p -= lr * v
-    return velocity
-
-
-def adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-              weight_decay=0.0, state=None):
-    """Bias-corrected Adam; weight decay is added to the gradient.
-    Mutates params, returns updated (m, v, t) state."""
-    _check_shapes(params, grads)
-    if state is None:
-        state = ([np.zeros_like(p) for p in params],
-                 [np.zeros_like(p) for p in params], 0)
-    ms, vs, t = state
-    t += 1
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, ms, vs):
-        g = g + weight_decay * p
-        m[...] = beta1 * m + (1.0 - beta1) * g
-        v[...] = beta2 * v + (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return ms, vs, t
-
-
-class SgdOptimizer:
-    def __init__(self, groups, momentum=0.9, weight_decay=0.0):
-        self.groups = [(list(tensors), lr) for tensors, lr in groups]
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [None] * len(self.groups)
-
-    def step(self):
-        for gi, (tensors, lr) in enumerate(self.groups):
-            params = [t.data for t in tensors]
-            grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
-                     for t in tensors]
-            self._velocity[gi] = sgd_step(params, grads, lr, self.momentum,
-                                          self.weight_decay, self._velocity[gi])
-
-
-class AdamOptimizer:
     def __init__(self, groups, weight_decay=0.0):
         self.groups = [(list(tensors), lr) for tensors, lr in groups]
         self.weight_decay = weight_decay
-        self._state = [None] * len(self.groups)
+        self.t = 0
+        self._state = [[[np.zeros_like(p.data) for _ in range(self.n_buffers)]
+                        for p in tensors] for tensors, _ in self.groups]
 
     def step(self):
-        for gi, (tensors, lr) in enumerate(self.groups):
-            params = [t.data for t in tensors]
-            grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
-                     for t in tensors]
-            self._state[gi] = adam_step(params, grads, lr,
-                                        weight_decay=self.weight_decay,
-                                        state=self._state[gi])
+        self.t += 1
+        for (tensors, lr), state in zip(self.groups, self._state):
+            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                     for p in tensors]
+            for p, g in zip(tensors, grads):
+                if p.data.shape != g.shape:
+                    raise ad.ShapeError(f"param {p.data.shape} vs grad {g.shape}")
+            for p, g, buffers in zip(tensors, grads, state):
+                self._update(p.data, g, lr, *buffers)
+
+
+class SgdOptimizer(_GroupOptimizer):
+    """v <- momentum*v + (g + wd*p); p <- p - lr*v."""
+
+    def __init__(self, groups, momentum=0.9, weight_decay=0.0):
+        super().__init__(groups, weight_decay)
+        self.momentum = momentum
+
+    def _update(self, p, g, lr, v):
+        v[...] = self.momentum * v + (g + self.weight_decay * p)
+        p -= lr * v
+
+
+class AdamOptimizer(_GroupOptimizer):
+    """Bias-corrected Adam; weight decay is added to the gradient."""
+
+    n_buffers = 2
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def _update(self, p, g, lr, m, v):
+        g = g + self.weight_decay * p
+        m[...] = self.beta1 * m + (1.0 - self.beta1) * g
+        v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def make_optimizer(bundle: ModelBundle, cfg: TrainConfig):

@@ -203,6 +203,64 @@ class TestBackward:
         np.testing.assert_allclose(combined, a * gf + b * gg, rtol=1e-12, atol=1e-12)
 
 
+class TestRowOps:
+    def test_shape_errors(self):
+        a = ad.constant(np.zeros((4, 3)))
+        for row in (np.zeros((2, 3)), np.zeros((1, 4)), np.zeros(3)):
+            with pytest.raises(ad.ShapeError):
+                ad.add_row(a, row)
+        with pytest.raises(ad.ShapeError):
+            ad.add_row(np.zeros(3), np.zeros((1, 3)))
+        for bad in (np.zeros(3), np.zeros((2, 3, 4))):
+            with pytest.raises(ad.ShapeError):
+                ad.sum_rows(bad)
+
+    @staticmethod
+    def _values_and_grads(build, leaves):
+        for leaf in leaves:
+            leaf.zero_grad()
+        out = build()
+        ad.backward(ad.sum(ad.tanh(out)))
+        return [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+    def test_bias_row_bits_equal_ones_matmul(self):
+        # 128 x 128 is a size at which np.sum would round the bias gradient
+        # differently from the ones-row product.
+        rng = np.random.default_rng(5)
+        x = ad.param(rng.normal(size=(128, 128)))
+        W = ad.param(rng.normal(size=(128, 128)) * 0.1)
+        b = ad.param(rng.normal(size=(1, 128)))
+        leaves = [x, W, b]
+        op = self._values_and_grads(
+            lambda: ad.add_row(ad.matmul(x, W), b), leaves)
+        ref = self._values_and_grads(
+            lambda: ad.matmul(x, W) + ad.matmul(ad.ones(128, 1), b), leaves)
+        assert op == ref
+
+    def test_centering_bits_equal_ones_matmul(self):
+        rng = np.random.default_rng(6)
+        X = ad.param(rng.normal(size=(128, 20)))
+        n = X.shape[0]
+
+        def ref():
+            mean_row = ad.matmul(ad.ones(1, n), X) * (1.0 / n)
+            return X - ad.matmul(ad.ones(n, 1), mean_row)
+
+        op = self._values_and_grads(
+            lambda: ad.add_row(X, ad.sum_rows(X) * (-1.0 / n)), [X])
+        assert op == self._values_and_grads(ref, [X])
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(8)
+        a = ad.param(rng.normal(size=(5, 3)))
+        row = ad.param(rng.normal(size=(1, 3)))
+
+        def build(_):
+            return ad.sum(ad.tanh(ad.add_row(a, ad.sum_rows(a * a) * 0.3 + row)))
+
+        assert gc.compare(build, [a, row]) < 1e-6
+
+
 def _random_composition(rng):
     """Random scalar-valued composition over every primitive's valid domain."""
     leaves = [ad.param(rng.normal(size=(2, 2))) for _ in range(3)]

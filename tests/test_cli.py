@@ -338,3 +338,68 @@ class TestReport:
         assert cli.main(["report", str(tmp_path / "ghost.csv"),
                          "--out", str(tmp_path / "r.csv")]) == 2
         capsys.readouterr()
+
+
+# Inputs that used to end in a traceback with exit 1.  Each row builds an
+# argv from (tmp_path, cubic data dir, a regular file); `blocker` stands where
+# a directory is needed.
+def _eval_argv(tmp, data, blocker):
+    run = run_train(tmp, data)
+    return ["eval", "--checkpoint", str(run / "checkpoint.bin"),
+            "--data", str(data / "target.csv"), "--out", str(blocker / "m.csv"),
+            "--task", "t", "--method", "m"]
+
+
+def _train_argv(tmp, data, out_dir, config=None):
+    config = config or write_config(tmp / "cfg.json")
+    return ["train", "--config", str(config), "--source",
+            str(data / "source.csv"), "--out-dir", str(out_dir)]
+
+
+def _latin1_config(tmp):
+    path = tmp / "latin1.json"
+    path.write_bytes(b'{"alignment": "none", "seed": 1}  # caf\xe9')
+    return path
+
+
+_EXIT_2_PROBES = [
+    ("datagen_n_zero", "bad datagen flags",
+     lambda tmp, data, blocker: ["datagen", "--kind", "cubic",
+                                 "--out", str(tmp / "d"), "--n", "0"]),
+    ("datagen_negative_noise", "bad datagen flags",
+     lambda tmp, data, blocker: ["datagen", "--kind", "cubic",
+                                 "--out", str(tmp / "d"), "--noise", "-1"]),
+    ("datagen_battery_zero_cycles", "bad datagen flags",
+     lambda tmp, data, blocker: ["datagen", "--kind", "battery",
+                                 "--out", str(tmp / "b.csv"), "--cycles", "0"]),
+    ("datagen_cubic_out_is_file", "cannot create directory",
+     lambda tmp, data, blocker: ["datagen", "--kind", "cubic",
+                                 "--out", str(blocker), "--n", "10"]),
+    ("datagen_battery_out_under_file", "cannot create directory",
+     lambda tmp, data, blocker: ["datagen", "--kind", "battery",
+                                 "--out", str(blocker / "b.csv"),
+                                 "--cycles", "1", "--capacity-ah", "0.05"]),
+    ("train_out_dir_is_file", "cannot create directory",
+     lambda tmp, data, blocker: _train_argv(tmp, data, blocker)),
+    ("train_out_dir_under_file", "cannot create directory",
+     lambda tmp, data, blocker: _train_argv(tmp, data, blocker / "run")),
+    ("train_config_not_utf8", "cannot read config",
+     lambda tmp, data, blocker: _train_argv(tmp, data, tmp / "run",
+                                            _latin1_config(tmp))),
+    ("eval_out_under_file", "cannot create directory", _eval_argv),
+]
+
+
+@pytest.mark.parametrize("build_argv,message",
+                         [(build, msg) for _, msg, build in _EXIT_2_PROBES],
+                         ids=[name for name, _, _ in _EXIT_2_PROBES])
+def test_bad_invocation_exits_2_with_one_error_line(build_argv, message,
+                                                     tmp_path, tiny_data, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    argv = build_argv(tmp_path, tiny_data, blocker)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import uga
+from uga import autodiff as ad
 from uga import train as tr
 from uga.alignment import AlignmentKind
 from uga.data import LabeledSet, SyntheticShiftSpec, UnlabeledSet, make_cubic_shift_pair
@@ -43,66 +44,82 @@ class TestLambdaSchedule:
             tr.lambda_schedule(1.01)
 
 
+def _optimizer(cls, p, lr, **kwargs):
+    """A one-group optimizer over the array p, which it updates in place."""
+    return cls([([ad.param(p)], lr)], **kwargs)
+
+
+def _step(opt, grad):
+    opt.groups[0][0][0].grad = grad
+    opt.step()
+
+
 class TestSgdStep:
+    def sgd(self, p, lr, momentum=0.0, weight_decay=0.0):
+        return _optimizer(tr.SgdOptimizer, p, lr, momentum=momentum,
+                          weight_decay=weight_decay)
+
     def test_zero_grad_no_change(self):
         p = np.array([1.0, -2.0])
-        tr.sgd_step([p], [np.zeros(2)], lr=0.1)
+        _step(self.sgd(p, lr=0.1), np.zeros(2))
         np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_plain_gradient_step(self):
         p = np.array([1.0, 2.0])
-        tr.sgd_step([p], [np.array([0.5, -0.5])], lr=0.2)
+        _step(self.sgd(p, lr=0.2), np.array([0.5, -0.5]))
         np.testing.assert_allclose(p, [0.9, 2.1], rtol=1e-15)
 
     def test_quadratic_descent(self):
         w = np.array([1.0])
-        tr.sgd_step([w], [2.0 * w.copy()], lr=0.1)
+        _step(self.sgd(w, lr=0.1), 2.0 * w.copy())
         assert w[0] == pytest.approx(0.8)
         assert w[0] ** 2 < 1.0
 
     def test_momentum_accumulates(self):
         p = np.array([0.0])
         g = np.array([1.0])
-        vel = tr.sgd_step([p], [g.copy()], lr=1.0, momentum=0.5)
-        tr.sgd_step([p], [g.copy()], lr=1.0, momentum=0.5, velocity=vel)
+        opt = self.sgd(p, lr=1.0, momentum=0.5)
+        _step(opt, g.copy())
+        _step(opt, g.copy())
         # steps: v1=1, v2=1.5 -> p = -(1 + 1.5)
         assert p[0] == pytest.approx(-2.5)
 
     def test_weight_decay(self):
         p = np.array([2.0])
-        tr.sgd_step([p], [np.zeros(1)], lr=0.1, weight_decay=0.5)
+        _step(self.sgd(p, lr=0.1, weight_decay=0.5), np.zeros(1))
         assert p[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            tr.sgd_step([np.zeros(2)], [np.zeros(3)], lr=0.1)
+            _step(self.sgd(np.zeros(2), lr=0.1), np.zeros(3))
 
 
 class TestAdamStep:
     def test_zero_grad_no_change(self):
         p = np.array([3.0])
-        tr.adam_step([p], [np.zeros(1)], lr=0.1)
+        _step(_optimizer(tr.AdamOptimizer, p, lr=0.1), np.zeros(1))
         assert p[0] == 3.0
 
     def test_first_step_sign_scaled(self):
         p = np.zeros(3)
-        g = np.array([4.0, -0.25, 1e-3])
-        tr.adam_step([p], [g], lr=0.1)
+        _step(_optimizer(tr.AdamOptimizer, p, lr=0.1),
+              np.array([4.0, -0.25, 1e-3]))
         np.testing.assert_allclose(p, [-0.1, 0.1, -0.1], rtol=1e-4)
 
     def test_state_threads_through(self):
         p = np.array([0.0])
-        state = tr.adam_step([p], [np.ones(1)], lr=0.1)
-        state = tr.adam_step([p], [np.ones(1)], lr=0.1, state=state)
-        assert state[2] == 2
+        opt = _optimizer(tr.AdamOptimizer, p, lr=0.1)
+        _step(opt, np.ones(1))
+        _step(opt, np.ones(1))
+        assert opt.t == 2
         assert p[0] == pytest.approx(-0.2, abs=1e-3)
 
     def test_deterministic(self):
         def run():
             p = np.array([1.0, -1.0])
-            s = None
+            opt = _optimizer(tr.AdamOptimizer, p, lr=0.05)
             for _ in range(5):
-                s = tr.adam_step([p], [p.copy() * 0.3], lr=0.05, state=s)
+                _step(opt, p.copy() * 0.3)
             return p
 
         np.testing.assert_array_equal(run(), run())
@@ -296,11 +313,6 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             tr.train_uga(src, UnlabeledSet(np.zeros((0, 1))), self.cfg(),
                          self.spec())
-
-    def test_domain_batch_fields(self):
-        src, tgt = tiny_domains()
-        batch = tr.DomainBatch(src=src, tgt=tgt)
-        assert len(batch.src) == len(batch.tgt) == 64
 
 
 # Two iterations of the feature arm at the acceptance width: 128 features plus
