@@ -18,6 +18,7 @@ import itertools
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.special
 
 from . import special
 
@@ -345,7 +346,9 @@ def abs(a) -> Tensor:
 def lgamma(a) -> Tensor:
     """ln Gamma(x) elementwise for x > 0; derivative is digamma."""
     a = _as_tensor(a)
-    out = np.asarray(special.lgamma(a.data), dtype=np.float64)
+    if np.any(~np.isfinite(a.data)) or np.any(a.data <= 0.0):
+        raise DomainError("lgamma requires strictly positive finite input")
+    out = np.asarray(scipy.special.gammaln(a.data), dtype=np.float64)
 
     def backward_fn(g):
         return (g * np.asarray(special.digamma(a.data), dtype=np.float64),)

@@ -160,13 +160,11 @@ def make_cubic_shift_pair(
     return src_n, LabeledSet(tgt.inputs, tgt_labels), bounds
 
 
-def normalize_labels(source: LabeledSet, hidden_raw_labels=None):
+def normalize_labels(source: LabeledSet) -> tuple[LabeledSet, LabelBounds]:
     """Fit min-max bounds on the source raw labels and rescale to [0, 1].
 
-    `hidden_raw_labels`, when given, are target-domain labels (unseen at
-    training time) mapped through the same bounds for evaluation use.
-    Returns (normalized_source, bounds) or (normalized_source,
-    normalized_hidden, bounds).
+    Returns (normalized_source, bounds); `bounds.apply` maps other labels,
+    such as a target domain's held-out ones, through the same map.
     """
     if len(source) == 0:
         raise ValueError("empty source set")
@@ -177,9 +175,7 @@ def normalize_labels(source: LabeledSet, hidden_raw_labels=None):
     bounds = LabelBounds(lo, hi)
     normalized = LabeledSet(source.inputs,
                             np.clip(bounds.apply(source.labels), 0.0, 1.0))
-    if hidden_raw_labels is None:
-        return normalized, bounds
-    return normalized, bounds.apply(hidden_raw_labels), bounds
+    return normalized, bounds
 
 
 # -- battery simulation -----------------------------------------------------

@@ -20,7 +20,6 @@ from . import autodiff as ad
 
 __all__ = [
     "NigOutput",
-    "EvidentialConfig",
     "nig_from_raw",
     "nll_loss",
     "evidence_regularizer",
@@ -66,17 +65,6 @@ class NigOutput:
             raise ValueError("NigOutput requires alpha > 1")
         if np.any(self.beta.data <= 0):
             raise ValueError("NigOutput requires beta > 0")
-
-
-@dataclasses.dataclass
-class EvidentialConfig:
-    """Weight of the evidence regularizer in the total loss."""
-
-    lambda_evi: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_evi < 0:
-            raise ValueError("lambda_evi must be >= 0")
 
 
 def _as_column_array(v) -> np.ndarray:
@@ -156,13 +144,16 @@ def evidence_regularizer(y, p: NigOutput) -> ad.Tensor:
     return ad.abs(y - p.gamma) * (2.0 * p.nu + p.alpha)
 
 
-def evidential_loss(ys, ps: NigOutput, cfg: EvidentialConfig) -> ad.Tensor:
+def evidential_loss(ys, ps: NigOutput, lambda_evi: float = 1.0) -> ad.Tensor:
     """Batch mean of nll_loss + lambda_evi * evidence_regularizer (scalar)."""
+    # Comparisons with nan are false, so this bound also rejects nan.
+    if not 0 <= lambda_evi < math.inf:
+        raise ValueError(f"lambda_evi must be finite and >= 0, got {lambda_evi!r}")
     if ps.batch_size < 1:
         raise ValueError("empty batch")
     per_sample = nll_loss(ys, ps)
-    if cfg.lambda_evi != 0.0:
-        per_sample = per_sample + cfg.lambda_evi * evidence_regularizer(ys, ps)
+    if lambda_evi != 0.0:
+        per_sample = per_sample + lambda_evi * evidence_regularizer(ys, ps)
     return ad.mean(per_sample)
 
 

@@ -145,12 +145,12 @@ def suite_mmd(seed: int = 0) -> float:
 
 
 def _model_loss_builder(bundle, xs, ys):
-    from .evidential import EvidentialConfig, evidential_loss
+    from .evidential import evidential_loss
     from .models import model_forward
 
     def build(_leaves):
         _z, p = model_forward(xs, bundle)
-        return evidential_loss(ys, p, EvidentialConfig(lambda_evi=1.0))
+        return evidential_loss(ys, p, lambda_evi=1.0)
 
     return build
 

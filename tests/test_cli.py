@@ -386,6 +386,13 @@ _EXIT_2_PROBES = [
     ("train_config_not_utf8", "cannot read config",
      lambda tmp, data, blocker: _train_argv(tmp, data, tmp / "run",
                                             _latin1_config(tmp))),
+    ("train_config_optimizer_key", "bad config:",
+     lambda tmp, data, blocker: _train_argv(
+         tmp, data, tmp / "run", write_config(tmp / "sgd.json", optimizer="sgd"))),
+    ("train_config_per_group_lr", "bad config:",
+     lambda tmp, data, blocker: _train_argv(
+         tmp, data, tmp / "run",
+         write_config(tmp / "lrs.json", lr={"head": 0.01, "extractor": 0.001}))),
     ("eval_out_under_file", "cannot create directory", _eval_argv),
 ]
 

@@ -81,8 +81,8 @@ class TestNormalizeLabels:
 
     def test_hidden_labels_same_map(self):
         ds = LabeledSet(np.zeros((2, 1)), [0.0, 10.0])
-        _n, hidden, bounds = normalize_labels(ds, np.array([5.0, 20.0]))
-        np.testing.assert_array_equal(hidden, [0.5, 2.0])
+        _n, bounds = normalize_labels(ds)
+        np.testing.assert_array_equal(bounds.apply(np.array([5.0, 20.0])), [0.5, 2.0])
         assert bounds.invert(0.5) == 5.0
 
     def test_degenerate_labels_rejected(self):

@@ -11,7 +11,6 @@ import uga
 from uga import autodiff as ad
 from uga import gradcheck as gc
 from uga.evidential import (
-    EvidentialConfig,
     NigOutput,
     evidence_regularizer,
     evidential_loss,
@@ -142,21 +141,26 @@ class TestTotalLoss:
         p = NigOutput.from_values(rng.normal(size=8), rng.uniform(0.5, 2, 8),
                                   rng.uniform(1.5, 3, 8), rng.uniform(0.5, 2, 8))
         ys = rng.normal(size=8)
-        total = evidential_loss(ys, p, EvidentialConfig(lambda_evi=0.0))
+        total = evidential_loss(ys, p, lambda_evi=0.0)
         assert total.item() == pytest.approx(float(np.mean(nll_loss(ys, p).data)))
 
     def test_single_sample_oracle(self):
-        total = evidential_loss(1.0, unit_nig(), EvidentialConfig(lambda_evi=1.0))
+        total = evidential_loss(1.0, unit_nig(), lambda_evi=1.0)
         assert total.item() == pytest.approx(TOTAL_Y1_LAM1, abs=1e-9)
 
     def test_duplicated_batch_matches_single(self):
         p = NigOutput.from_values([0.0] * 6, [1.0] * 6, [2.0] * 6, [1.0] * 6)
-        total = evidential_loss([1.0] * 6, p, EvidentialConfig(lambda_evi=1.0))
+        total = evidential_loss([1.0] * 6, p, lambda_evi=1.0)
         assert total.item() == pytest.approx(TOTAL_Y1_LAM1, abs=1e-9)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            EvidentialConfig(lambda_evi=-0.1)
+        with pytest.raises(ValueError, match="lambda_evi"):
+            evidential_loss(1.0, unit_nig(), lambda_evi=-0.1)
+
+    def test_non_finite_lambda_rejected(self):
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda_evi"):
+                evidential_loss(1.0, unit_nig(), lambda_evi=lam)
 
     def test_gradients_through_raw_mapping(self):
         rng = np.random.default_rng(31)
@@ -165,7 +169,7 @@ class TestTotalLoss:
 
         def build(ls):
             return evidential_loss(ys, nig_from_raw(ls[0]),
-                                   EvidentialConfig(lambda_evi=1.0))
+                                   lambda_evi=1.0)
 
         assert gc.compare(build, [raw]) < 1e-5
 
