@@ -4,7 +4,7 @@ The workhorse is a biased (V-statistic) multi-kernel MMD estimator over a
 bandwidth bank centered on the median heuristic.  On top of it sit the two
 uncertainty-guided objectives: feature alignment over embeddings augmented
 with the evidential parameters, and posterior alignment over [nu, alpha,
-beta] alone.  CORAL covariance matching is provided as a baseline.
+beta] alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "mmd2_biased",
     "augmented_embedding",
     "posterior_vector",
-    "coral_distance",
 ]
 
 BANK_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -34,8 +33,6 @@ BANK_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 class AlignmentKind(enum.Enum):
     NONE = "none"
-    PLAIN_MMD = "plain_mmd"
-    CORAL = "coral"
     UGA_FEATURE = "uga_feature"
     UGA_POSTERIOR = "uga_posterior"
 
@@ -167,25 +164,3 @@ def posterior_vector(p: NigOutput) -> ad.Tensor:
     """Rows [nu, alpha, beta]; gamma deliberately excluded."""
     p.validate()
     return ad.concat([p.nu, p.alpha, p.beta])
-
-
-def _covariance(X: ad.Tensor) -> ad.Tensor:
-    n = X.shape[0]
-    centered = ad.add_row(X, ad.sum_rows(X) * (-1.0 / n))
-    return ad.matmul(ad.transpose(centered), centered) * (1.0 / (n - 1))
-
-
-def coral_distance(X, Y) -> ad.Tensor:
-    """Squared Frobenius gap between unbiased covariances, over 4 d^2."""
-    X = X if isinstance(X, ad.Tensor) else ad.constant(_as_matrix(X))
-    Y = Y if isinstance(Y, ad.Tensor) else ad.constant(_as_matrix(Y))
-    if len(X.shape) != 2 or len(Y.shape) != 2:
-        raise ad.ShapeError("coral_distance expects 2-D sample matrices")
-    if X.shape[0] < 2 or Y.shape[0] < 2:
-        raise ValueError("coral_distance needs at least 2 samples per set")
-    if X.shape[1] != Y.shape[1]:
-        raise ad.ShapeError(
-            f"sample dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
-    d = X.shape[1]
-    diff = _covariance(X) - _covariance(Y)
-    return ad.sum(diff * diff) * (1.0 / (4.0 * d * d))

@@ -7,8 +7,8 @@ into the `.grad` buffers of the leaves that require them.
 
 Shape rules are deliberately small: elementwise ops require equal shapes or
 a size-1 operand (scalar broadcast), matmul is strictly 2-D. Row expansion
-and reduction are explicit ops: `add_row` adds a (1, d) row to every row of
-an (n, d) tensor and `sum_rows` gives its (1, d) column sums.
+is an explicit op: `add_row` adds a (1, d) row to every row of an (n, d)
+tensor.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import special
 __all__ = [
     "Tensor", "ShapeError", "DomainError", "no_grad", "constant", "param",
     "add", "sub", "mul", "div", "pow", "neg", "exp", "log", "tanh",
-    "sigmoid", "softplus", "abs", "sum", "mean", "add_row", "sum_rows",
+    "sigmoid", "softplus", "abs", "sum", "mean", "add_row",
     "concat", "slice_last", "matmul", "transpose", "reshape", "lgamma",
     "lstm", "mmd", "backward", "ones", "zeros",
 ]
@@ -394,18 +394,6 @@ def add_row(a, row) -> Tensor:
         return g, _column_sums(g) if row.requires_grad else None
 
     return Tensor._from_op(a.data + row.data, (a, row), backward_fn)
-
-
-def sum_rows(a) -> Tensor:
-    """(1, d) column sums of an (n, d) tensor."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"sum_rows needs an (n, d) tensor, got {a.data.shape}")
-
-    def backward_fn(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return Tensor._from_op(_column_sums(a.data), (a,), backward_fn)
 
 
 def concat(tensors: Sequence) -> Tensor:

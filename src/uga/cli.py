@@ -185,6 +185,9 @@ def _cmd_train(args) -> int:
     source = _load_labeled(args.source)
     if args.target is not None:
         target = UnlabeledSet(_load_inputs(args.target))
+        if target.inputs.shape[1] != source.inputs.shape[1]:
+            raise UsageError(f"{args.target}: {target.inputs.shape[1]} input "
+                             f"columns, the source has {source.inputs.shape[1]}")
     else:
         target = UnlabeledSet(np.zeros((0, source.inputs.shape[1])))
 
@@ -258,6 +261,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     results = gc.run_all(seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -110,10 +110,14 @@ class SyntheticShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift!r}")
+        # Comparisons with nan are false, so these bounds also reject nan.
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ValueError(
+                f"noise_sd must be finite and nonnegative, got {self.noise_sd!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
 
@@ -199,6 +203,12 @@ def gen_battery_curves(temp_c: float, n_cycles: int, seed: int,
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
+    if not math.isfinite(temp_c):
+        raise ValueError(f"temp_c must be finite, got {temp_c!r}")
+    # Comparisons with nan are false, so these bounds also reject nan.
+    for name, value in (("capacity_ah", capacity_ah), ("hz", hz)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     rng = np.random.default_rng(seed)
     q_as = _capacity_as(temp_c, capacity_ah)
     resistance = 0.05 * (1.0 + 0.01 * (25.0 - temp_c))

@@ -159,7 +159,7 @@ def suite_mlp(seed: int = 0) -> float:
     from .models import MlpSpec, build_bundle
     rng = np.random.default_rng(seed)
     spec = MlpSpec(layer_widths=(3, 6, 4), dropout_p=0.0)
-    bundle = build_bundle(spec, head_kind="evidential", seed=seed)
+    bundle = build_bundle(spec, seed=seed)
     xs = rng.normal(size=(8, 3))
     ys = rng.normal(size=(8, 1))
     return compare(_model_loss_builder(bundle, xs, ys), bundle.parameters())
@@ -170,7 +170,7 @@ def suite_lstm(seed: int = 0, window_len: int = 10) -> float:
     rng = np.random.default_rng(seed)
     spec = SeqEncoderSpec(num_layers=2, hidden_dim=3, input_dim=2,
                           window_len=window_len)
-    bundle = build_bundle(spec, head_kind="evidential", seed=seed)
+    bundle = build_bundle(spec, seed=seed)
     xs = rng.normal(size=(2, window_len, 2))
     ys = rng.normal(size=(2, 1))
     return compare(_model_loss_builder(bundle, xs, ys), bundle.parameters())

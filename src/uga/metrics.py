@@ -107,17 +107,17 @@ def coverage(intervals, labels) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class MetricsReport:
-    """Pure function of (checkpoint, dataset); uncertainty fields are None
-    for point-head models, posterior_gap is None without a reference set,
-    r2 is None where it is undefined (one row, or constant labels)."""
+    """Pure function of (checkpoint, dataset); posterior_gap is None without
+    a reference set, r2 is None where it is undefined (one row, or constant
+    labels)."""
 
     mae: float
     mse: float
     r2: float | None
-    coverage90: float | None
-    mean_aleatoric: float | None
-    mean_epistemic: float | None
-    mean_total: float | None
+    coverage90: float
+    mean_aleatoric: float
+    mean_epistemic: float
+    mean_total: float
     posterior_gap: float | None
 
     def __post_init__(self):
@@ -125,7 +125,7 @@ class MetricsReport:
             raise ValueError("mae and mse must be nonnegative")
         if self.r2 is not None and self.r2 > 1.0:
             raise ValueError("r2 cannot exceed 1")
-        if self.coverage90 is not None and not 0.0 <= self.coverage90 <= 1.0:
+        if not 0.0 <= self.coverage90 <= 1.0:
             raise ValueError("coverage must be a fraction")
 
 
@@ -138,17 +138,14 @@ class MetricsRow:
 
 
 def _forward_chunks(bundle: ModelBundle, inputs: np.ndarray):
-    """Concatenated (gamma, nu, alpha, beta) or point predictions, without
-    building a persistent graph."""
+    """Concatenated (gamma, nu, alpha, beta) columns, without building a
+    persistent graph."""
     parts = []
     with ad.no_grad():
         for start in range(0, inputs.shape[0], EVAL_CHUNK):
             _z, out = model_forward(inputs[start:start + EVAL_CHUNK], bundle)
-            if isinstance(out, NigOutput):
-                parts.append(np.hstack([out.gamma.data, out.nu.data,
-                                        out.alpha.data, out.beta.data]))
-            else:
-                parts.append(out.data)
+            parts.append(np.hstack([out.gamma.data, out.nu.data,
+                                    out.alpha.data, out.beta.data]))
     return np.vstack(parts)
 
 
@@ -169,13 +166,6 @@ def evaluate(bundle: ModelBundle, dataset: LabeledSet, level: float = 0.9,
         raise ValueError("empty evaluation set")
     out = _forward_chunks(bundle, dataset.inputs)
     preds = out[:, 0]
-    scores = dict(mae=mae(preds, dataset.labels),
-                  mse=mse(preds, dataset.labels),
-                  r2=_r2_or_none(preds, dataset.labels))
-    if bundle.head_kind != "evidential":
-        return MetricsReport(**scores, coverage90=None, mean_aleatoric=None,
-                             mean_epistemic=None, mean_total=None,
-                             posterior_gap=None)
     p = NigOutput.from_values(out[:, 0], out[:, 1], out[:, 2], out[:, 3])
     al, ep = uncertainties(p)
     gap = None
@@ -184,7 +174,9 @@ def evaluate(bundle: ModelBundle, dataset: LabeledSet, level: float = 0.9,
         with ad.no_grad():
             gap = mmd2_biased(out[:, 1:4], ref[:, 1:4]).item()
     return MetricsReport(
-        **scores,
+        mae=mae(preds, dataset.labels),
+        mse=mse(preds, dataset.labels),
+        r2=_r2_or_none(preds, dataset.labels),
         coverage90=coverage(predictive_interval(p, level), dataset.labels),
         mean_aleatoric=float(al.mean()),
         mean_epistemic=float(ep.mean()),
@@ -200,8 +192,6 @@ def uncertainty_histograms(bundle: ModelBundle, domain_sets: dict):
     (rows, summary): rows follow HISTOGRAM_COLUMNS; summary rows are
     (domain, statistic, aleatoric, epistemic, total).
     """
-    if bundle.head_kind != "evidential":
-        raise ValueError("uncertainty diagnostics need an evidential head")
     if not domain_sets:
         raise ValueError("no domains given")
     rows = []

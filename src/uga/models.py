@@ -2,9 +2,8 @@
 
 Two extractor families: an MLP over vector inputs and a stacked LSTM over
 fixed-length windows.  Either feeds a single affine head producing the four
-raw evidential outputs (or one output for the plain squared-error
-baseline).  Bundles carry named parameter tensors and serialize to a
-versioned checkpoint file.
+raw evidential outputs.  Bundles carry named parameter tensors and
+serialize to a versioned checkpoint file.
 """
 
 from __future__ import annotations
@@ -83,28 +82,11 @@ class SeqEncoderSpec:
 
 @dataclasses.dataclass
 class ModelBundle:
-    """Extractor + head parameters with a fixed naming order.
-
-    head_kind "evidential" maps the 4 raw head outputs through the NIG
-    parameter mapping; "point" is the 1-output squared-error baseline.
-    """
+    """Extractor + evidential head parameters with a fixed naming order;
+    the head's 4 raw outputs go through the NIG parameter mapping."""
 
     spec: MlpSpec | SeqEncoderSpec
-    head_kind: str
     params: dict[str, ad.Tensor]
-
-    def __post_init__(self):
-        if self.head_kind not in ("evidential", "point"):
-            raise ValueError(f"unknown head_kind {self.head_kind!r}")
-        head_w = self.params["head.W"]
-        if head_w.shape[1] != self.head_dim:
-            raise ValueError(
-                f"head output dim {head_w.shape[1]} != {self.head_dim} "
-                f"for head_kind {self.head_kind!r}")
-
-    @property
-    def head_dim(self) -> int:
-        return 4 if self.head_kind == "evidential" else 1
 
     @property
     def extractor_kind(self) -> str:
@@ -126,7 +108,7 @@ def _uniform_init(rng, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
-def _param_shapes(spec, head_kind: str):
+def _param_shapes(spec):
     """Yield (name, shape) of every parameter in initialization and
     checkpoint order."""
     if isinstance(spec, MlpSpec):
@@ -143,12 +125,11 @@ def _param_shapes(spec, head_kind: str):
             yield f"lstm.{layer}.b", (1, 4 * h)
     else:
         raise TypeError(f"unsupported spec type {type(spec).__name__}")
-    head_dim = 4 if head_kind == "evidential" else 1
-    yield "head.W", (spec.feature_dim, head_dim)
-    yield "head.b", (1, head_dim)
+    yield "head.W", (spec.feature_dim, 4)
+    yield "head.b", (1, 4)
 
 
-def build_bundle(spec, head_kind: str = "evidential", seed: int = 0) -> ModelBundle:
+def build_bundle(spec, seed: int = 0) -> ModelBundle:
     """Initialize all parameters from the seed; fixed draw order.
 
     Weights are uniform(-a, a) with a = 1/sqrt(fan_in); biases are zero
@@ -156,7 +137,7 @@ def build_bundle(spec, head_kind: str = "evidential", seed: int = 0) -> ModelBun
     """
     rng = np.random.default_rng(seed)
     params: dict[str, ad.Tensor] = {}
-    for name, shape in _param_shapes(spec, head_kind):
+    for name, shape in _param_shapes(spec):
         if name.endswith(".b"):
             value = np.zeros(shape)
             if name.startswith("lstm."):
@@ -165,7 +146,7 @@ def build_bundle(spec, head_kind: str = "evidential", seed: int = 0) -> ModelBun
         else:
             value = _uniform_init(rng, shape[0], shape)
         params[name] = ad.param(value)
-    return ModelBundle(spec=spec, head_kind=head_kind, params=params)
+    return ModelBundle(spec=spec, params=params)
 
 
 def _as_batch(x, dim: int) -> ad.Tensor:
@@ -220,17 +201,15 @@ def seq_forward(window, bundle: ModelBundle) -> ad.Tensor:
                        for layer in range(spec.num_layers)])
 
 
-def model_forward(x, bundle: ModelBundle, training: bool = False, rng=None):
-    """(features z, head output); the head output is a NigOutput for
-    evidential bundles and a (B, 1) prediction tensor for point bundles."""
+def model_forward(x, bundle: ModelBundle, training: bool = False,
+                  rng=None) -> tuple[ad.Tensor, NigOutput]:
+    """(features z, NIG head output)."""
     if bundle.extractor_kind == "mlp":
         z = mlp_forward(x, bundle, training=training, rng=rng)
     else:
         z = seq_forward(x, bundle)
     raw = _affine(z, bundle.params["head.W"], bundle.params["head.b"])
-    if bundle.head_kind == "evidential":
-        return z, nig_from_raw(raw)
-    return z, raw
+    return z, nig_from_raw(raw)
 
 
 # -- checkpoint I/O ---------------------------------------------------------
@@ -274,7 +253,7 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
     lines = [
         f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}",
         f"extractor {bundle.extractor_kind}",
-        f"head {bundle.head_kind}",
+        "head evidential",
         "spec " + json.dumps(_spec_to_dict(bundle.spec), sort_keys=True),
         f"params {len(bundle.params)}",
     ]
@@ -307,13 +286,15 @@ def load_checkpoint(path) -> ModelBundle:
     for key in ("extractor", "head", "spec", "params"):
         if key not in fields:
             raise ValueError(f"corrupt checkpoint: header has no {key!r} line")
+    if fields["head"] != "evidential":
+        raise ValueError(f"unsupported head {fields['head']!r}")
     spec = _spec_from_dict(fields["extractor"], json.loads(fields["spec"]))
     listed = header[5:]
     if fields["params"] != str(len(listed)):
         raise ValueError(f"corrupt checkpoint: params {fields['params']!r} "
                          f"but {len(listed)} parameter lines")
     # At most one more than listed, so a corrupt spec cannot make this long.
-    layout = list(itertools.islice(_param_shapes(spec, fields["head"]),
+    layout = list(itertools.islice(_param_shapes(spec),
                                    len(listed) + 1))
     expected = [f"{name} {','.join(map(str, shape))}" for name, shape in layout]
     if listed != expected:
@@ -327,4 +308,4 @@ def load_checkpoint(path) -> ModelBundle:
         vals = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
         offset += n * 8
         params[name] = ad.param(vals.reshape(shape).astype(np.float64))
-    return ModelBundle(spec=spec, head_kind=fields["head"], params=params)
+    return ModelBundle(spec=spec, params=params)

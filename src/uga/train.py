@@ -4,8 +4,9 @@ Every iteration draws one labeled source and one unlabeled target
 minibatch (with replacement), forwards both through the shared extractor,
 and minimizes  supervised + lambda(p) * alignment  where p is training
 progress and lambda follows the saturating ramp 2/(1+exp(-10p)) - 1.  The
-supervised term is the evidential loss, except for the plain-MMD baseline
-which trains a 1-output head with squared error.
+supervised term is the evidential loss; the alignment term is the MMD
+between the two domains' augmented embeddings (uga_feature) or posterior
+vectors (uga_posterior).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import autodiff as ad
 from .alignment import (
     AlignmentKind,
     augmented_embedding,
-    coral_distance,
     mmd2_biased,
     posterior_vector,
 )
@@ -71,6 +71,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1 or self.batch_size < 1:
             raise ValueError("iterations and batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("lambda_evi", "lr", "aug_weight", "clip_norm"):
             value = getattr(self, name)
             if name == "clip_norm" and value is None:
@@ -168,11 +170,7 @@ def assemble_loss(src_batch: LabeledSet, tgt_batch: UnlabeledSet,
 
     z_s, head_s = model_forward(src_batch.inputs, bundle,
                                 training=training, rng=src_rng)
-    if bundle.head_kind == "evidential":
-        sup = evidential_loss(src_batch.labels, head_s, cfg.lambda_evi)
-    else:
-        resid = head_s - ad.constant(src_batch.labels.reshape(-1, 1))
-        sup = ad.mean(resid * resid)
+    sup = evidential_loss(src_batch.labels, head_s, cfg.lambda_evi)
 
     lam = lambda_schedule(p)
     if cfg.alignment is AlignmentKind.NONE:
@@ -180,17 +178,11 @@ def assemble_loss(src_batch: LabeledSet, tgt_batch: UnlabeledSet,
 
     z_t, head_t = model_forward(tgt_batch.inputs, bundle,
                                 training=training, rng=tgt_rng)
-    if cfg.alignment is AlignmentKind.PLAIN_MMD:
-        align = mmd2_biased(z_s, z_t)
-    elif cfg.alignment is AlignmentKind.CORAL:
-        align = coral_distance(z_s, z_t)
-    elif cfg.alignment is AlignmentKind.UGA_FEATURE:
+    if cfg.alignment is AlignmentKind.UGA_FEATURE:
         align = mmd2_biased(augmented_embedding(z_s, head_s, cfg.aug_weight),
                             augmented_embedding(z_t, head_t, cfg.aug_weight))
-    elif cfg.alignment is AlignmentKind.UGA_POSTERIOR:
+    else:
         align = mmd2_biased(posterior_vector(head_s), posterior_vector(head_t))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled alignment kind {cfg.alignment}")
     total = sup + lam * align
     return total, sup.item(), align.item()
 
@@ -203,11 +195,6 @@ def _global_grad_norm(tensors) -> float:
     return math.sqrt(total)
 
 
-def head_kind_for(alignment: AlignmentKind) -> str:
-    """The plain-MMD baseline trains without uncertainty (MSE head)."""
-    return "point" if alignment is AlignmentKind.PLAIN_MMD else "evidential"
-
-
 def train_uga(source: LabeledSet, target: UnlabeledSet, cfg: TrainConfig,
               model_spec) -> tuple[ModelBundle, list[HistoryRow]]:
     """Run the full loop; returns the trained bundle and per-iteration
@@ -218,8 +205,7 @@ def train_uga(source: LabeledSet, target: UnlabeledSet, cfg: TrainConfig,
     if needs_target and len(target) == 0:
         raise ValueError("adaptation run needs a non-empty target set")
 
-    bundle = build_bundle(model_spec, head_kind=head_kind_for(cfg.alignment),
-                          seed=cfg.seed)
+    bundle = build_bundle(model_spec, seed=cfg.seed)
     optimizer = AdamOptimizer(bundle.parameters(), cfg.lr)
 
     # Independent streams so a source-only run and an alignment run with a

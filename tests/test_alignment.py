@@ -9,7 +9,6 @@ from uga import gradcheck as gc
 from uga.alignment import (
     KernelBank,
     augmented_embedding,
-    coral_distance,
     median_bandwidth,
     mmd2_biased,
     posterior_vector,
@@ -390,35 +389,3 @@ class TestPosteriorVector:
         np.testing.assert_allclose(posterior_vector(p).data,
                                    [[LN2, 1 + LN2, LN2]], atol=1e-12)
 
-
-class TestCoral:
-    def test_identical_sets(self):
-        rng = np.random.default_rng(31)
-        X = rng.normal(size=(6, 3))
-        assert coral_distance(X, X.copy()).item() == 0.0
-
-    def test_one_dim_variances(self):
-        # unbiased variances 1 and 2; (1-2)^2 / 4 = 0.25
-        X = np.array([[-1.0], [0.0], [1.0]])
-        Y = np.array([[0.0], [2.0]])
-        assert coral_distance(X, Y).item() == pytest.approx(0.25, abs=1e-14)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(37)
-        X, Y = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
-        assert coral_distance(X, Y).item() == pytest.approx(
-            coral_distance(Y, X).item(), rel=1e-12)
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            coral_distance(np.zeros((1, 2)), np.zeros((4, 2)))
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(41)
-        X = ad.param(rng.normal(size=(5, 3)))
-        Y = ad.param(rng.normal(size=(6, 3)))
-
-        def build(ls):
-            return coral_distance(ls[0], ls[1])
-
-        assert gc.compare(build, [X, Y]) < 1e-5

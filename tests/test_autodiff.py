@@ -201,9 +201,6 @@ class TestRowOps:
                 ad.add_row(a, row)
         with pytest.raises(ad.ShapeError):
             ad.add_row(np.zeros(3), np.zeros((1, 3)))
-        for bad in (np.zeros(3), np.zeros((2, 3, 4))):
-            with pytest.raises(ad.ShapeError):
-                ad.sum_rows(bad)
 
     @staticmethod
     def _values_and_grads(build, leaves):
@@ -227,26 +224,14 @@ class TestRowOps:
             lambda: ad.matmul(x, W) + ad.matmul(ad.ones(128, 1), b), leaves)
         assert op == ref
 
-    def test_centering_bits_equal_ones_matmul(self):
-        rng = np.random.default_rng(6)
-        X = ad.param(rng.normal(size=(128, 20)))
-        n = X.shape[0]
-
-        def ref():
-            mean_row = ad.matmul(ad.ones(1, n), X) * (1.0 / n)
-            return X - ad.matmul(ad.ones(n, 1), mean_row)
-
-        op = self._values_and_grads(
-            lambda: ad.add_row(X, ad.sum_rows(X) * (-1.0 / n)), [X])
-        assert op == self._values_and_grads(ref, [X])
-
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         a = ad.param(rng.normal(size=(5, 3)))
         row = ad.param(rng.normal(size=(1, 3)))
 
         def build(_):
-            return ad.sum(ad.tanh(ad.add_row(a, ad.sum_rows(a * a) * 0.3 + row)))
+            col_sums = ad.matmul(ad.ones(1, 5), a * a)
+            return ad.sum(ad.tanh(ad.add_row(a, col_sums * 0.3 + row)))
 
         assert gc.compare(build, [a, row]) < 1e-6
 

@@ -285,6 +285,19 @@ class TestEval:
         assert err.startswith("error: bad checkpoint:") and err.count("\n") == 1
         assert "layer_widths" in err
 
+    def test_point_head_checkpoint_exits_2(self, tmp_path, tiny_data, capsys):
+        run = run_train(tmp_path, tiny_data)
+        ckpt = run / "checkpoint.bin"
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data.replace(b"\nhead evidential\n", b"\nhead point\n"))
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--data", str(tiny_data / "target.csv"),
+                         "--out", str(tmp_path / "m.csv"),
+                         "--task", "t", "--method", "m"]) == 2
+        assert capsys.readouterr().err == \
+            "error: bad checkpoint: unsupported head 'point'\n"
+
 
 class TestGradcheck:
     def test_passing_build(self, capsys):
@@ -340,9 +353,10 @@ class TestReport:
         capsys.readouterr()
 
 
-# Inputs that used to end in a traceback with exit 1.  Each row builds an
-# argv from (tmp_path, cubic data dir, a regular file); `blocker` stands where
-# a directory is needed.
+# Inputs that used to end in a traceback, in the wrong exit code or in a bad
+# output file.  Each row builds an argv from (tmp_path, cubic data dir, a
+# regular file); `blocker` stands where a directory is needed.  `{tmp}` in a
+# message stands for tmp_path.
 def _eval_argv(tmp, data, blocker):
     run = run_train(tmp, data)
     return ["eval", "--checkpoint", str(run / "checkpoint.bin"),
@@ -354,6 +368,19 @@ def _train_argv(tmp, data, out_dir, config=None):
     config = config or write_config(tmp / "cfg.json")
     return ["train", "--config", str(config), "--source",
             str(data / "source.csv"), "--out-dir", str(out_dir)]
+
+
+def _wide_target_argv(tmp, data, blocker):
+    from uga.data import write_vector_csv
+    write_vector_csv(tmp / "wide.csv", np.zeros((4, 2)))
+    config = write_config(tmp / "cfg.json", alignment="uga_feature")
+    return _train_argv(tmp, data, tmp / "run", config) + [
+        "--target", str(tmp / "wide.csv")]
+
+
+def _datagen_argv(tmp, kind, *flags):
+    out = tmp / ("b.csv" if kind == "battery" else "d")
+    return ["datagen", "--kind", kind, "--out", str(out), *flags]
 
 
 def _latin1_config(tmp):
@@ -394,6 +421,33 @@ _EXIT_2_PROBES = [
          tmp, data, tmp / "run",
          write_config(tmp / "lrs.json", lr={"head": 0.01, "extractor": 0.001}))),
     ("eval_out_under_file", "cannot create directory", _eval_argv),
+    ("datagen_battery_zero_hz", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "battery", "--hz", "0")),
+    ("datagen_battery_negative_hz", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "battery", "--hz", "-10")),
+    ("datagen_battery_zero_capacity", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "battery", "--capacity-ah", "0")),
+    ("datagen_battery_nan_temp", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "battery", "--temp", "nan")),
+    ("datagen_cubic_nan_scale", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "cubic", "--scale", "nan")),
+    ("datagen_cubic_inf_shift", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "cubic", "--shift", "inf")),
+    ("datagen_cubic_nan_noise", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "cubic", "--noise", "nan")),
+    ("train_config_negative_seed", "bad config:",
+     lambda tmp, data, blocker: _train_argv(
+         tmp, data, tmp / "run", write_config(tmp / "seed.json", seed=-1))),
+    ("train_config_plain_mmd", "bad config:",
+     lambda tmp, data, blocker: _train_argv(
+         tmp, data, tmp / "run", write_config(tmp / "mmd.json", alignment="plain_mmd"))),
+    ("train_config_coral", "bad config:",
+     lambda tmp, data, blocker: _train_argv(
+         tmp, data, tmp / "run", write_config(tmp / "coral.json", alignment="coral"))),
+    ("train_target_width_mismatch", "{tmp}/wide.csv: 2 input columns, the source has 1",
+     _wide_target_argv),
+    ("gradcheck_negative_seed", "--seed must be >= 0",
+     lambda tmp, data, blocker: ["gradcheck", "--seed", "-1"]),
 ]
 
 
@@ -408,5 +462,5 @@ def test_bad_invocation_exits_2_with_one_error_line(build_argv, message,
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}")
+    assert err.startswith("error: " + message.format(tmp=tmp_path))
     assert err.count("\n") == 1

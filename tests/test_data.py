@@ -59,6 +59,15 @@ class TestCubicGenerator:
         assert abs(src.labels.min() - tgt.labels.min()) < 0.05
         assert abs(src.labels.max() - tgt.labels.max()) < 0.05
 
+    @pytest.mark.parametrize("field,value", [
+        ("shift", float("inf")), ("shift", float("nan")),
+        ("scale", float("nan")), ("scale", float("inf")),
+        ("noise_sd", float("nan")), ("noise_sd", float("inf")),
+    ])
+    def test_bad_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticShiftSpec(**{field: value})
+
     def test_pair_normalization(self):
         src, tgt, bounds = make_cubic_shift_pair(
             SyntheticShiftSpec(n=1000, seed=1, noise_sd=0.05),
@@ -96,6 +105,20 @@ class TestNormalizeLabels:
 
 
 class TestBatterySimulator:
+    # A negative rate or capacity would make soc rise and never reach 0;
+    # the loop would not end, so the bounds are checked before it starts.
+    @pytest.mark.parametrize("field,value", [
+        ("hz", 0.0), ("hz", -10.0), ("hz", float("nan")), ("hz", float("inf")),
+        ("capacity_ah", 0.0), ("capacity_ah", -0.5), ("capacity_ah", float("nan")),
+        ("capacity_ah", float("inf")),
+        ("temp_c", float("nan")), ("temp_c", float("inf")),
+    ])
+    def test_bad_arguments_rejected(self, field, value):
+        kw = dict(temp_c=25.0, n_cycles=1, seed=0, capacity_ah=0.05, hz=10.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            gen_battery_curves(**kw)
+
     def test_soc_endpoints_and_monotonicity(self):
         for series in gen_battery_curves(25.0, n_cycles=2, seed=4,
                                          capacity_ah=0.05):

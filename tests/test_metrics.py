@@ -6,10 +6,10 @@ from uga.data import LabeledSet
 from uga.models import MlpSpec, build_bundle
 
 
-def trained_stub(seed=0, head_kind="evidential"):
+def trained_stub(seed=0):
     # an untrained bundle is enough for metric plumbing tests
     return build_bundle(MlpSpec(layer_widths=(2, 6, 4), dropout_p=0.0),
-                        head_kind=head_kind, seed=seed)
+                        seed=seed)
 
 
 def toy_set(n=40, seed=1):
@@ -107,11 +107,6 @@ class TestEvaluate:
         rep = mt.evaluate(trained_stub(), toy_set())
         assert rep.posterior_gap is None
 
-    def test_point_head_skips_uncertainty(self):
-        rep = mt.evaluate(trained_stub(head_kind="point"), toy_set())
-        assert rep.coverage90 is None
-        assert rep.mean_total is None
-
     def test_deterministic_bit_exact(self):
         ds = toy_set()
         ref = toy_set(seed=3).inputs
@@ -130,12 +125,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             mt.evaluate(trained_stub(), LabeledSet(np.zeros((0, 2)), np.zeros(0)))
 
-    @pytest.mark.parametrize("head_kind", ["evidential", "point"])
     @pytest.mark.parametrize("n, labels", [(1, [0.3]), (5, [0.3] * 5)])
-    def test_undefined_r2_is_none(self, head_kind, n, labels):
+    def test_undefined_r2_is_none(self, n, labels):
         # one row, or constant labels: R^2 is undefined, the rest is scored
         inputs = np.random.default_rng(7).normal(size=(n, 2))
-        rep = mt.evaluate(trained_stub(head_kind=head_kind),
+        rep = mt.evaluate(trained_stub(),
                           LabeledSet(inputs, np.array(labels)),
                           reference_inputs=toy_set(seed=2).inputs)
         assert rep.r2 is None
@@ -164,15 +158,10 @@ class TestHistograms:
         for row in rows[1:]:
             assert row[2:] == first
 
-    def test_point_head_rejected(self):
-        with pytest.raises(ValueError):
-            mt.uncertainty_histograms(trained_stub(head_kind="point"),
-                                      {"d": np.zeros((3, 2))})
-
     def test_undefined_r2_allowed(self):
-        rep = mt.MetricsReport(mae=0.0, mse=0.0, r2=None, coverage90=None,
-                               mean_aleatoric=None, mean_epistemic=None,
-                               mean_total=None, posterior_gap=None)
+        rep = mt.MetricsReport(mae=0.0, mse=0.0, r2=None, coverage90=0.9,
+                               mean_aleatoric=0.01, mean_epistemic=0.02,
+                               mean_total=0.03, posterior_gap=None)
         assert rep.r2 is None
 
     def test_empty_domain_rejected(self):
@@ -199,13 +188,9 @@ class TestCsvArtifacts:
 
     def test_empty_markers(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        rows = [mt.MetricsRow("t", "plain_mmd", 0,
-                              self.report(coverage90=None, mean_aleatoric=None,
-                                          mean_epistemic=None, mean_total=None,
-                                          posterior_gap=None))]
+        rows = [mt.MetricsRow("t", "m", 0, self.report(posterior_gap=None))]
         mt.write_metrics_csv(path, rows)
         back = mt.read_metrics_csv(path)
-        assert back[0]["coverage90"] == ""
         assert back[0]["posterior_gap"] == ""
 
     def test_undefined_r2_written_as_empty_marker(self, tmp_path):

@@ -70,10 +70,7 @@ class TestParameterCounts:
 
     def test_head_dims(self):
         spec = MlpSpec(layer_widths=(3, 4))
-        assert build_bundle(spec, "evidential").params["head.W"].shape == (4, 4)
-        assert build_bundle(spec, "point").params["head.W"].shape == (4, 1)
-        with pytest.raises(ValueError):
-            build_bundle(spec, "quantile")
+        assert build_bundle(spec).params["head.W"].shape == (4, 4)
 
 
 class TestInitialization:
@@ -219,12 +216,6 @@ class TestModelForward:
                    for i in range(6)]
         np.testing.assert_allclose(p_batch.gamma.data.ravel(), singles, rtol=1e-12)
 
-    def test_point_head_shape(self):
-        bundle = build_bundle(MlpSpec(layer_widths=(3, 4)), head_kind="point", seed=0)
-        _z, pred = model_forward(np.zeros((5, 3)), bundle)
-        assert isinstance(pred, ad.Tensor)
-        assert pred.shape == (5, 1)
-
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -233,7 +224,6 @@ class TestCheckpoint:
         save_checkpoint(bundle, path)
         loaded = load_checkpoint(path)
         assert loaded.spec == bundle.spec
-        assert loaded.head_kind == bundle.head_kind
         for (na, ta), (nb, tb) in zip(bundle.named_parameters(),
                                       loaded.named_parameters()):
             assert na == nb
@@ -242,12 +232,11 @@ class TestCheckpoint:
     def test_round_trip_seq(self, tmp_path):
         spec = SeqEncoderSpec(num_layers=2, hidden_dim=4, input_dim=3,
                               window_len=6)
-        bundle = build_bundle(spec, head_kind="point", seed=22)
+        bundle = build_bundle(spec, seed=22)
         path = tmp_path / "seq.ckpt"
         save_checkpoint(bundle, path)
         loaded = load_checkpoint(path)
         assert loaded.spec == spec
-        assert loaded.head_kind == "point"
         out_a = seq_forward(np.ones((1, 6, 3)), bundle)
         out_b = seq_forward(np.ones((1, 6, 3)), loaded)
         np.testing.assert_array_equal(out_a.data, out_b.data)
@@ -267,6 +256,16 @@ class TestCheckpoint:
         path.write_bytes(b"\n".join(l for l in lines
                                      if not l.startswith(field.encode() + b" ")))
         with pytest.raises(ValueError, match=repr(field)):
+            load_checkpoint(path)
+
+    def test_point_head_rejected(self, tmp_path):
+        bundle = build_bundle(MlpSpec(layer_widths=(2, 3)), seed=0)
+        path = tmp_path / "point.ckpt"
+        save_checkpoint(bundle, path)
+        data = path.read_bytes()
+        assert b"\nhead evidential\n" in data
+        path.write_bytes(data.replace(b"\nhead evidential\n", b"\nhead point\n"))
+        with pytest.raises(ValueError, match="head 'point'"):
             load_checkpoint(path)
 
     def test_truncated_blob_rejected(self, tmp_path):
@@ -322,7 +321,7 @@ class TestCheckpointFuzz:
         bundles = [
             build_bundle(MlpSpec(layer_widths=(2, 3, 2)), seed=5),
             build_bundle(SeqEncoderSpec(num_layers=2, hidden_dim=2, input_dim=1,
-                                        window_len=3), head_kind="point", seed=6),
+                                        window_len=3), seed=6),
         ]
         blobs = []
         for k, bundle in enumerate(bundles):
@@ -346,7 +345,7 @@ class TestCheckpointFuzz:
         # whatever loads is a consistent bundle: it saves and reloads as is
         save_checkpoint(bundle, path)
         again = load_checkpoint(path)
-        assert (again.spec, again.head_kind) == (bundle.spec, bundle.head_kind)
+        assert again.spec == bundle.spec
         for (na, ta), (nb, tb) in zip(bundle.named_parameters(),
                                       again.named_parameters()):
             assert na == nb and ta.data.tobytes() == tb.data.tobytes()

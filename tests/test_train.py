@@ -147,7 +147,7 @@ class TestTrainConfig:
         ("lambda_evi", "0.1"), ("lambda_evi", None),
         ("aug_weight", -1.0), ("aug_weight", float("nan")), ("aug_weight", float("inf")),
         ("aug_weight", True),
-        ("seed", 2.5), ("seed", True), ("seed", "1"),
+        ("seed", 2.5), ("seed", True), ("seed", "1"), ("seed", -1),
     ])
     def test_non_finite_and_bad_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -174,8 +174,7 @@ class TestAssembleLoss:
 
     def test_p_zero_is_supervised_only(self):
         src, tgt = tiny_domains()
-        for kind in (AlignmentKind.UGA_FEATURE, AlignmentKind.UGA_POSTERIOR,
-                     AlignmentKind.CORAL):
+        for kind in (AlignmentKind.UGA_FEATURE, AlignmentKind.UGA_POSTERIOR):
             cfg = tr.TrainConfig(alignment=kind)
             bundle = tr.build_bundle(self.spec(), seed=2)
             loss, sup, _align = tr.assemble_loss(src, tgt, bundle, cfg, p=0.0)
@@ -199,7 +198,7 @@ class TestAssembleLoss:
                              bundle, tr.TrainConfig(), p=0.5)
         with pytest.raises(ValueError):
             tr.assemble_loss(src, empty_u, bundle,
-                             tr.TrainConfig(alignment=AlignmentKind.PLAIN_MMD),
+                             tr.TrainConfig(alignment=AlignmentKind.UGA_FEATURE),
                              p=0.5)
 
 
@@ -243,8 +242,7 @@ class TestTrainLoop:
 
     def test_alignment_terms_nonnegative_and_finite(self):
         src, tgt = tiny_domains()
-        for kind in (AlignmentKind.PLAIN_MMD, AlignmentKind.CORAL,
-                     AlignmentKind.UGA_FEATURE, AlignmentKind.UGA_POSTERIOR):
+        for kind in (AlignmentKind.UGA_FEATURE, AlignmentKind.UGA_POSTERIOR):
             _b, hist = tr.train_uga(src, tgt, self.cfg(alignment=kind,
                                                        iterations=20),
                                     self.spec())
@@ -252,15 +250,6 @@ class TestTrainLoop:
                 assert np.isfinite(row.supervised)
                 assert np.isfinite(row.alignment)
                 assert row.alignment >= 0.0
-
-    def test_plain_mmd_uses_point_head(self):
-        src, tgt = tiny_domains()
-        bundle, _ = tr.train_uga(src, tgt,
-                                 self.cfg(alignment=AlignmentKind.PLAIN_MMD,
-                                          iterations=10),
-                                 self.spec())
-        assert bundle.head_kind == "point"
-        assert bundle.params["head.W"].shape[1] == 1
 
     def test_training_reduces_supervised_loss(self):
         src, tgt = tiny_domains(n=256)
