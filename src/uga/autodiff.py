@@ -305,14 +305,23 @@ def tanh(a) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp never overflows.
+    # softplus's backward keeps this form rather than the tanh form of
+    # `sigmoid`: its bits reach every evidential gradient, and the headline
+    # comparison is sensitive to a 1-ulp change in those.
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a) -> Tensor:
+    """1 / (1 + e^-x), computed as tanh(x/2)/2 + 1/2.
+
+    tanh saturates instead of overflowing, so no sign split is needed, and
+    the absolute error stays within 2^-51.  `lstm` relies on this form: it
+    evaluates all four gates with one tanh.
+    """
     a = _as_tensor(a)
-    out = _sigmoid(a.data)
+    out = 0.5 * np.tanh(0.5 * a.data) + 0.5
 
     def backward_fn(g):
         return (g * out * (1.0 - out),)
@@ -485,11 +494,16 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
     `layers` holds one (Wx (in, 4h), Wh (h, 4h), b (1, 4h)) triple per
     layer, gate blocks ordered input, forget, cell, output; h and c start
     at zero.  Each layer's input projections for all T steps come from one
-    stacked (T, B, in) @ (in, 4h) matmul call, and the forward values are
-    bit-identical to the per-step composition of matmul, slice_last,
-    sigmoid, tanh, mul and add.  The gates are kept only when the call is
-    recorded; backward is plain backpropagation through time over them,
-    which agrees with the per-step tape's gradients to rounding.
+    stacked (T, B, in) @ (in, 4h) matmul call.  The input, forget and
+    output columns of Wx, Wh and b are halved once per call, so each step
+    takes one tanh over all 4h pre-activation columns and maps the sigmoid
+    gates to tanh/2 + 1/2, the form of `sigmoid`.  Halving is exact, so the
+    forward values are bit-identical to the per-step composition of matmul,
+    slice_last, sigmoid, tanh, mul and add.  Each step's gates, i g, f c
+    and tanh c are kept only when the call is recorded (otherwise one
+    step's buffers are reused); backward is plain backpropagation through
+    time over them, which agrees with the per-step tape's gradients to
+    rounding.
     """
     x = _as_tensor(x)
     if x.data.ndim != 3:
@@ -510,28 +524,42 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
     record = _grad_enabled and any(p.requires_grad for p in parents)
 
     seq = np.ascontiguousarray(x.data.transpose(1, 0, 2))  # (T, B, in)
+    kept = steps if record else 1   # steps of gate history backward reads
     cache = []
     for Wx, Wh, b in triples:
         h = Wh.data.shape[0]
+        # Per gate column: pre-activation scale, then tanh -> activation as
+        # t * scale + (1 - scale): sigmoid on i, f, o and tanh on g.  Full
+        # (B, 4h) rows: numpy runs same-shape operands faster than a
+        # broadcast row.
+        scale = np.full((batch, 4 * h), 0.5)
+        scale[:, 2 * h:3 * h] = 1.0
+        shift = 1.0 - scale
         # Stacked, not one (T*B, in) gemm: numpy computes a one-row product
         # as a gemv, which rounds differently from the gemm at batch 1.
-        proj = seq @ Wx.data + b.data
+        proj = seq @ (Wx.data * scale[0]) + b.data * scale[0]
+        wh = Wh.data * scale[0]
         hs = np.zeros((steps + 1, batch, h))   # hs[t + 1] is h_t; hs[0] = 0
-        cs = np.zeros((steps + 1, batch, h))
-        tanh_c = np.empty((steps, batch, h))
-        gates = np.empty((steps, batch, 4 * h)) if record else None
+        c = np.zeros((batch, h))
+        gates = np.empty((kept, batch, 4 * h))
+        ig = np.empty((kept, batch, h))        # i_t g_t
+        fc = np.empty((kept, batch, h))        # f_t c_{t-1}
+        tanh_c = np.empty((kept, batch, h))
         for t in range(steps):
-            pre = proj[t] + hs[t] @ Wh.data
-            act = _sigmoid(pre)
-            act[:, 2 * h:3 * h] = np.tanh(pre[:, 2 * h:3 * h].copy())
-            np.multiply(act[:, h:2 * h], cs[t], out=cs[t + 1])
-            cs[t + 1] += act[:, :h] * act[:, 2 * h:3 * h]
-            np.tanh(cs[t + 1], out=tanh_c[t])
-            np.multiply(act[:, 3 * h:], tanh_c[t], out=hs[t + 1])
-            if record:
-                gates[t] = act
+            k = t if record else 0
+            act = gates[k]
+            np.matmul(hs[t], wh, out=act)
+            act += proj[t]
+            np.tanh(act, out=act)
+            act *= scale
+            act += shift
+            np.multiply(act[:, h:2 * h], c, out=fc[k])
+            np.multiply(act[:, :h], act[:, 2 * h:3 * h], out=ig[k])
+            np.add(fc[k], ig[k], out=c)
+            np.tanh(c, out=tanh_c[k])
+            np.multiply(act[:, 3 * h:], tanh_c[k], out=hs[t + 1])
         if record:
-            cache.append((seq, hs, cs, gates, tanh_c))
+            cache.append((seq, hs, gates, ig, fc, tanh_c))
         seq = hs[1:]
     out = hs[-1].copy()
 
@@ -540,25 +568,32 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
         d_in = None   # (T, B, h): gradient reaching each step's h from above
         for layer in range(len(triples) - 1, -1, -1):
             Wx, Wh, _ = triples[layer]
-            inp, hs, cs, gates, tanh_c = cache[layer]
+            inp, hs, gates, ig, fc, tanh_c = cache[layer]
             h = Wh.data.shape[0]
-            i_g, f_g, g_g, o_g = (gates[..., k * h:(k + 1) * h] for k in range(4))
-            # d c_t / d pre for the first three gates and d h_t / d pre for
-            # the output gate, all steps at once.
-            local = np.concatenate([g_g * i_g * (1.0 - i_g),
-                                    cs[:-1] * f_g * (1.0 - f_g),
-                                    i_g * (1.0 - g_g * g_g),
-                                    tanh_c * o_g * (1.0 - o_g)], axis=-1)
-            dc_dh = o_g * (1.0 - tanh_c * tanh_c)   # d h_t / d c_t
-            dpres = np.empty((steps, batch, 4 * h))
+            by_gate = gates.reshape(steps, batch, 4, h)
+            # d act / d pre is (1 - a) a on the sigmoid gates and
+            # (1 - g)(1 + g) on the cell gate.  Times the factor each gate
+            # meets in c_t = f c_{t-1} + i g and h_t = o tanh(c_t), that is
+            # (1 - a) times [i g, f c_{t-1}, i + i g, h_t]: d c_t / d pre
+            # for i, f, g and d h_t / d pre for o.  The loop scales step t
+            # in place into d loss / d pre_t.
+            dpres = np.concatenate([ig, fc, by_gate[:, :, 0] + ig, hs[1:]],
+                                   axis=-1)
+            dpres *= 1.0 - gates
+            # d h_t / d c_t = o (1 - tanh^2 c_t) = o - h_t tanh c_t
+            dc_dh = hs[1:] * tanh_c
+            np.subtract(by_gate[:, :, 3], dc_dh, out=dc_dh)
+            f_g = by_gate[:, :, 1]
+            carry = np.empty((batch, 4 * h))         # [dc, dc, dc, dh]
+            carry_by_gate = carry.reshape(batch, 4, h)
             dh = grad if d_in is None else d_in[-1]
             dc = np.zeros((batch, h))
             for t in range(steps - 1, -1, -1):
                 dc += dh * dc_dh[t]
+                carry_by_gate[:, :3] = dc[:, None]
+                carry_by_gate[:, 3] = dh
                 dpre = dpres[t]
-                dpre.reshape(batch, 4, h)[:, :3] = dc[:, None]
-                dpre[:, 3 * h:] = dh
-                dpre *= local[t]
+                dpre *= carry
                 dc *= f_g[t]
                 dh = dpre @ Wh.data.T
                 if d_in is not None and t > 0:

@@ -54,6 +54,12 @@ _CYCLE_CURRENT_SCALE = {
     "UDDS": 0.9, "NN": 1.0, "Mixed": 1.0,
 }
 
+# The simulated current never drops below this, so a cycle lasts at most
+# capacity / _MIN_CURRENT_A seconds.
+_MIN_CURRENT_A = 0.3
+# Most records one simulated cycle may take (about 400 MB of records).
+_MAX_RECORDS_PER_CYCLE = 1_000_000
+
 
 @dataclasses.dataclass
 class LabeledSet:
@@ -199,7 +205,8 @@ def gen_battery_curves(temp_c: float, n_cycles: int, seed: int,
     magnitude follows the tag's aggressiveness; soc falls monotonically
     from exactly 1 to exactly 0.  Lower temperature means less effective
     capacity and a larger resistive voltage sag.  V, I, T carry
-    measurement noise; soc (the label) does not.
+    measurement noise; soc (the label) does not.  Raises ValueError when a
+    cycle could take more than 1,000,000 records.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -209,8 +216,14 @@ def gen_battery_curves(temp_c: float, n_cycles: int, seed: int,
     for name, value in (("capacity_ah", capacity_ah), ("hz", hz)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    rng = np.random.default_rng(seed)
     q_as = _capacity_as(temp_c, capacity_ah)
+    most = q_as * hz / _MIN_CURRENT_A
+    if most > _MAX_RECORDS_PER_CYCLE:
+        raise ValueError(
+            f"temp_c={temp_c!r}, capacity_ah={capacity_ah!r} and hz={hz!r} allow "
+            f"up to {most:.3g} records per cycle, more than the cap of "
+            f"{_MAX_RECORDS_PER_CYCLE:,}")
+    rng = np.random.default_rng(seed)
     resistance = 0.05 * (1.0 + 0.01 * (25.0 - temp_c))
     dt = 1.0 / hz
     series_list = []
@@ -234,7 +247,8 @@ def gen_battery_curves(temp_c: float, n_cycles: int, seed: int,
             if soc == 0.0:
                 break
             if segment_left == 0:
-                current = float(np.clip(rng.uniform(0.5, 4.0) * scale, 0.3, 6.0))
+                current = float(np.clip(rng.uniform(0.5, 4.0) * scale,
+                                        _MIN_CURRENT_A, 6.0))
                 segment_left = int(rng.uniform(30.0, 120.0) * hz)
             drawn += current * dt
             segment_left -= 1

@@ -62,6 +62,23 @@ class TestForwardPrimitives:
         for op in (ad.exp, ad.tanh, ad.sigmoid, ad.softplus, ad.abs):
             assert np.all(np.isfinite(op(x).data))
 
+    _SIGMOID_GRID = np.concatenate([np.linspace(-50.0, 50.0, 200_001),
+                                    [-745.0, 745.0, -1e308, 1e308,
+                                     -1e-300, 1e-300]])
+
+    def test_sigmoid_matches_expit(self):
+        err = np.abs(ad.sigmoid(self._SIGMOID_GRID).data
+                     - scipy.special.expit(self._SIGMOID_GRID))
+        assert err.max() <= 2.0 ** -51
+
+    def test_sigmoid_raises_no_floating_point_warning(self):
+        x = ad.param(self._SIGMOID_GRID)
+        with np.errstate(all="raise"):
+            out = ad.sigmoid(x)
+            ad.backward(ad.sum(out))
+        assert np.all((out.data >= 0.0) & (out.data <= 1.0))
+        assert np.all(np.isfinite(x.grad))
+
 
 class TestSpecialFunctions:
     def test_lgamma_trivial_zeros(self):

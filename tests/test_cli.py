@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uga import cli
 from uga.data import ingest_battery_csv, read_vector_csv
@@ -429,6 +431,13 @@ _EXIT_2_PROBES = [
      lambda tmp, data, blocker: _datagen_argv(tmp, "battery", "--capacity-ah", "0")),
     ("datagen_battery_nan_temp", "bad datagen flags",
      lambda tmp, data, blocker: _datagen_argv(tmp, "battery", "--temp", "nan")),
+    ("datagen_battery_huge_temp", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "battery", "--temp", "1e308",
+                                              "--capacity-ah", "0.01")),
+    ("datagen_battery_huge_hz", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "battery", "--hz", "1e12")),
+    ("datagen_battery_huge_capacity", "bad datagen flags",
+     lambda tmp, data, blocker: _datagen_argv(tmp, "battery", "--capacity-ah", "1e15")),
     ("datagen_cubic_nan_scale", "bad datagen flags",
      lambda tmp, data, blocker: _datagen_argv(tmp, "cubic", "--scale", "nan")),
     ("datagen_cubic_inf_shift", "bad datagen flags",
@@ -464,3 +473,69 @@ def test_bad_invocation_exits_2_with_one_error_line(build_argv, message,
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(tmp=tmp_path))
     assert err.count("\n") == 1
+
+
+# Arbitrary bytes as a config or a source CSV, through the whole `train`
+# path: every outcome is a documented exit code, and a failure says why on
+# stderr without a traceback.
+_FUZZ_SETTINGS = settings(max_examples=150, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _train_exits_cleanly(capsys, config, source, out_dir):
+    capsys.readouterr()
+    code = cli.main(["train", "--config", str(config), "--source", str(source),
+                     "--out-dir", str(out_dir), "--hidden", "4"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code:
+        assert err.strip()
+        assert "Traceback" not in err
+
+
+_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=4),
+    st.sampled_from(["none", "uga_feature", "uga_posterior"]))
+# JSON objects over the config's keys (and one unknown key); iterations is
+# always present and small, so a valid config trains in milliseconds.
+_CONFIG_OBJECTS = st.fixed_dictionaries(
+    {"iterations": st.one_of(st.integers(-1, 2), _CONFIG_VALUES)},
+    optional={key: _CONFIG_VALUES for key in (
+        "alignment", "lambda_evi", "lr", "batch_size", "seed", "aug_weight",
+        "clip_norm", "warmup")},
+).map(lambda d: json.dumps(d).encode())
+_CSV_CELLS = st.one_of(st.sampled_from(["0", "1.5", "-2e3", "0.25"]),
+                       st.sampled_from(["nan", "inf", "1e400", "", "a", " y"]))
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header of 0-3 columns, mostly ending in y, then rows that mostly
+    match its width and hold numbers."""
+    width = draw(st.integers(0, 3))
+    header = [f"x{j}" for j in range(width - 1)] + ["y"] if width else []
+    if draw(st.booleans()):
+        header = draw(st.permutations(header))
+    rows = draw(st.lists(
+        st.one_of(st.lists(_CSV_CELLS, min_size=width, max_size=width),
+                  st.lists(_CSV_CELLS, max_size=4)), max_size=6))
+    return "\n".join(",".join(row) for row in [header, *rows]).encode()
+
+
+class TestFuzzTrain:
+    @_FUZZ_SETTINGS
+    @given(raw=st.one_of(st.binary(max_size=200), _CONFIG_OBJECTS))
+    def test_config_bytes(self, raw, tmp_path, capsys):
+        source = tmp_path / "source.csv"
+        source.write_text("x0,y\n0.0,0.0\n1.0,1.0\n2.0,0.5\n")
+        config = tmp_path / "fuzzed.json"
+        config.write_bytes(raw)
+        _train_exits_cleanly(capsys, config, source, tmp_path / "run")
+
+    @_FUZZ_SETTINGS
+    @given(raw=st.one_of(st.binary(max_size=200), _csv_tables()))
+    def test_source_csv_bytes(self, raw, tmp_path, capsys):
+        config = write_config(tmp_path / "one.json", iterations=1, batch_size=4)
+        source = tmp_path / "fuzzed.csv"
+        source.write_bytes(raw)
+        _train_exits_cleanly(capsys, config, source, tmp_path / "run")

@@ -112,6 +112,8 @@ class TestBatterySimulator:
         ("capacity_ah", 0.0), ("capacity_ah", -0.5), ("capacity_ah", float("nan")),
         ("capacity_ah", float("inf")),
         ("temp_c", float("nan")), ("temp_c", float("inf")),
+        # finite, but a cycle would take more records than the cap allows
+        ("temp_c", 1e308), ("hz", 1e12), ("capacity_ah", 1e15),
     ])
     def test_bad_arguments_rejected(self, field, value):
         kw = dict(temp_c=25.0, n_cycles=1, seed=0, capacity_ah=0.05, hz=10.0)
