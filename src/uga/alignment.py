@@ -58,8 +58,6 @@ class KernelBank:
 
 def _as_matrix(X) -> np.ndarray:
     a = X.data if isinstance(X, ad.Tensor) else np.asarray(X, dtype=np.float64)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise ad.ShapeError(f"expected a 2-D sample matrix, got shape {a.shape}")
     return a
@@ -117,10 +115,6 @@ def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:
     """
     X = X if isinstance(X, ad.Tensor) else ad.constant(_as_matrix(X))
     Y = Y if isinstance(Y, ad.Tensor) else ad.constant(_as_matrix(Y))
-    if len(X.shape) == 1:
-        X = ad.reshape(X, (X.shape[0], 1))
-    if len(Y.shape) == 1:
-        Y = ad.reshape(Y, (Y.shape[0], 1))
     if len(X.shape) != 2 or len(Y.shape) != 2:
         raise ad.ShapeError("mmd2_biased expects 2-D sample matrices")
     if X.shape[0] < 1 or Y.shape[0] < 1:

@@ -24,7 +24,7 @@ from . import special
 
 __all__ = [
     "Tensor", "ShapeError", "DomainError", "no_grad", "constant", "param",
-    "add", "sub", "mul", "div", "pow", "neg", "exp", "log", "tanh",
+    "add", "sub", "mul", "div", "pow", "exp", "log", "tanh",
     "sigmoid", "softplus", "abs", "sum", "mean", "add_row",
     "concat", "slice_last", "matmul", "transpose", "reshape", "lgamma",
     "lstm", "mmd", "backward", "ones", "zeros",
@@ -90,21 +90,10 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -134,23 +123,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __pow__(self, exponent):
         return pow(self, exponent)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return sum(self)
-
-    def mean(self):
-        return mean(self)
 
 
 def constant(data) -> Tensor:
@@ -259,15 +233,6 @@ def pow(a, exponent: float) -> Tensor:
         return (g * p * a.data ** (p - 1.0),)
 
     return Tensor._from_op(out, (a,), backward_fn)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward_fn(g):
-        return (-g,)
-
-    return Tensor._from_op(-a.data, (a,), backward_fn)
 
 
 # -- elementwise nonlinearities ----------------------------------------------
@@ -506,8 +471,9 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
     rounding.
     """
     x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeError(f"lstm expects a (B, T, in) window, got {x.data.shape}")
+    if x.data.ndim != 3 or min(x.data.shape[:2]) < 1:
+        raise ShapeError(f"lstm expects a (B, T, in) window with B, T >= 1, "
+                         f"got {x.data.shape}")
     if not layers:
         raise ShapeError("lstm needs at least one layer")
     batch, steps, width = x.data.shape

@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--hidden", default="32,32",
                     help="comma-separated hidden layer widths")
     tr.add_argument("--dropout", type=float, default=0.1)
-    tr.add_argument("--activation", default="tanh")
 
     ev = sub.add_parser("eval", help="score a checkpoint on a dataset")
     ev.add_argument("--checkpoint", required=True)
@@ -90,26 +89,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_labeled(path) -> LabeledSet:
+def _read_vectors(path):
+    """read_vector_csv with read and format errors as usage errors."""
     try:
-        x, y = read_vector_csv(path)
+        return read_vector_csv(path)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
     except ValueError as e:
         raise UsageError(f"{path}: {e}") from None
+
+
+def _load_labeled(path) -> LabeledSet:
+    x, y = _read_vectors(path)
     if y is None:
         raise UsageError(f"{path}: missing label column y")
     return LabeledSet(x, y)
-
-
-def _load_inputs(path) -> np.ndarray:
-    try:
-        x, _ = read_vector_csv(path)
-    except OSError as e:
-        raise UsageError(f"cannot read {path}: {e}") from None
-    except ValueError as e:
-        raise UsageError(f"{path}: {e}") from None
-    return x
 
 
 def _check_width(bundle, path, inputs: np.ndarray) -> None:
@@ -184,7 +178,7 @@ def _cmd_train(args) -> int:
 
     source = _load_labeled(args.source)
     if args.target is not None:
-        target = UnlabeledSet(_load_inputs(args.target))
+        target = UnlabeledSet(_read_vectors(args.target)[0])
         if target.inputs.shape[1] != source.inputs.shape[1]:
             raise UsageError(f"{args.target}: {target.inputs.shape[1]} input "
                              f"columns, the source has {source.inputs.shape[1]}")
@@ -194,7 +188,7 @@ def _cmd_train(args) -> int:
     try:
         hidden = tuple(int(w) for w in args.hidden.split(","))
         spec = MlpSpec(layer_widths=(source.inputs.shape[1], *hidden),
-                       activation=args.activation, dropout_p=args.dropout)
+                       dropout_p=args.dropout)
     except ValueError as e:
         raise UsageError(f"bad model flags: {e}") from None
 
@@ -202,7 +196,10 @@ def _cmd_train(args) -> int:
     _make_dir(out_dir)
     started = time.monotonic()
     try:
-        bundle, history = train_uga(source, target, cfg, spec)
+        # The loop's finiteness checks name a failure; numpy's overflow
+        # warnings on the way there would only bury that one line.
+        with np.errstate(all="ignore"):
+            bundle, history = train_uga(source, target, cfg, spec)
     except (ValueError, RuntimeError) as e:
         print(f"training failed: {e}", file=sys.stderr)
         return 1
@@ -232,7 +229,7 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"bad checkpoint: {e}") from None
     dataset = _load_labeled(args.data)
     _check_width(bundle, args.data, dataset.inputs)
-    reference = _load_inputs(args.reference) if args.reference else None
+    reference = _read_vectors(args.reference)[0] if args.reference else None
     if reference is not None:
         _check_width(bundle, args.reference, reference)
     out = Path(args.out)

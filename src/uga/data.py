@@ -32,7 +32,6 @@ __all__ = [
     "ingest_battery_csv",
     "write_vector_csv",
     "read_vector_csv",
-    "window",
     "windows_to_set",
     "split_by_cycle",
     "normalize_labels",
@@ -137,9 +136,6 @@ class LabelBounds:
 
     def apply(self, y):
         return (np.asarray(y, dtype=np.float64) - self.lo) / (self.hi - self.lo)
-
-    def invert(self, u):
-        return self.lo + np.asarray(u, dtype=np.float64) * (self.hi - self.lo)
 
 
 def gen_cubic_shift(spec: SyntheticShiftSpec) -> LabeledSet:
@@ -377,36 +373,25 @@ def _downsample_1hz(series: list[BatteryRecord]) -> list[BatteryRecord]:
     return out
 
 
-def _window_arrays(series: list[BatteryRecord], length: int, stride: int,
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def windows_to_set(series_list, length: int = 100, stride: int = 1) -> LabeledSet:
+    """Sliding (V, I, T) windows over every series of at least `length`
+    records, every stride-th, stacked into one LabeledSet; a window's label
+    is the soc at its final step."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    n = len(series)
-    if n < length:
-        raise ValueError(f"series of {n} records is shorter than window {length}")
-    feats = np.array([[r.v, r.i, r.temp] for r in series])
-    socs = np.array([r.soc for r in series])
-    # (n - length + 1, 3, length) view -> (windows, length, 3), every stride-th
-    views = sliding_window_view(feats, length, axis=0).transpose(0, 2, 1)[::stride]
-    return views, socs[length - 1::stride]
-
-
-def window(series: list[BatteryRecord], length: int = 100, stride: int = 1,
-           ) -> list[tuple[np.ndarray, float]]:
-    """Sliding (V, I, T) windows; the label is the soc at the final step.
-    Windows are read-only views of one feature array."""
-    views, labels = _window_arrays(series, length, stride)
-    return list(zip(views, labels.tolist()))
-
-
-def windows_to_set(series_list, length: int = 100, stride: int = 1) -> LabeledSet:
-    """Window every series and stack the results into one LabeledSet."""
-    parts = [_window_arrays(series, length, stride)
-             for series in series_list if len(series) >= length]
-    if not parts:
+    views, labels = [], []
+    for series in series_list:
+        if len(series) < length:
+            continue
+        feats = np.array([[r.v, r.i, r.temp] for r in series])
+        socs = np.array([r.soc for r in series])
+        # (n - length + 1, 3, length) view -> (windows, length, 3)
+        views.append(sliding_window_view(feats, length, axis=0)
+                     .transpose(0, 2, 1)[::stride])
+        labels.append(socs[length - 1::stride])
+    if not views:
         raise ValueError("no series long enough to window")
-    return LabeledSet(np.concatenate([v for v, _ in parts]),
-                      np.concatenate([y for _, y in parts]))
+    return LabeledSet(np.concatenate(views), np.concatenate(labels))
 
 
 def split_by_cycle(series_list, dataset_tag: str):

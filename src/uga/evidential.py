@@ -79,10 +79,6 @@ def _as_column_array(v) -> np.ndarray:
 
 
 def _as_column_tensor(y, batch_size: int) -> ad.Tensor:
-    if isinstance(y, ad.Tensor):
-        if y.shape != (batch_size, 1):
-            raise ad.ShapeError(f"label tensor shape {y.shape} != ({batch_size}, 1)")
-        return y
     a = _as_column_array(y)
     if a.shape[0] == 1 and batch_size > 1:
         a = np.broadcast_to(a, (batch_size, 1)).copy()
@@ -94,16 +90,12 @@ def _as_column_tensor(y, batch_size: int) -> ad.Tensor:
 
 
 def nig_from_raw(raw: ad.Tensor) -> NigOutput:
-    """Map raw head outputs (B, 4) to valid NIG parameters.
+    """Map the (B, 4) tensor of raw head outputs to valid NIG parameters.
 
     gamma = raw[:,0]; nu = softplus(raw[:,1]); alpha = softplus(raw[:,2]) + 1;
     beta = softplus(raw[:,3]).  The softplus/+1 construction guarantees
     nu > 0, alpha > 1, beta > 0 for any finite raw input.
     """
-    if not isinstance(raw, ad.Tensor):
-        raw = ad.constant(np.atleast_2d(np.asarray(raw, dtype=np.float64)))
-    if len(raw.shape) == 1:
-        raw = ad.reshape(raw, (1, raw.shape[0]))
     if len(raw.shape) != 2 or raw.shape[1] != 4:
         raise ad.ShapeError(f"raw head output must be (B, 4), got {raw.shape}")
     if not np.all(np.isfinite(raw.data)):
@@ -187,8 +179,6 @@ def predictive_interval(p: NigOutput, level: float) -> tuple[np.ndarray, np.ndar
     alpha = p.alpha.data.ravel()
     beta = p.beta.data.ravel()
     scale = np.sqrt(beta * (1.0 + nu) / (nu * alpha))
-    if level == 0.0:
-        return gamma.copy(), gamma.copy()
     # The Student-t quantile: scipy.stats.t.ppf returns the same bits, but
     # scipy.stats is slow to import and this is all uga needs of it.
     q = scipy.special.stdtrit(2.0 * alpha, 0.5 * (1.0 + level))

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .alignment import mmd2_biased
 from .data import LabeledSet
 from .evidential import NigOutput, predictive_interval, uncertainties
-from .models import ModelBundle, model_forward
+from .models import CHECKPOINT_VERSION, ModelBundle, model_forward
 
 __all__ = [
     "mae",
@@ -154,9 +154,10 @@ def _posterior_params(bundle, inputs) -> NigOutput:
     return NigOutput.from_values(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
 
 
-def evaluate(bundle: ModelBundle, dataset: LabeledSet, level: float = 0.9,
+def evaluate(bundle: ModelBundle, dataset: LabeledSet,
              reference_inputs=None) -> MetricsReport:
-    """Score a bundle on one labeled domain.
+    """Score a bundle on one labeled domain; coverage90 is the share of
+    labels inside their 90% predictive interval.
 
     reference_inputs, when given, are inputs from the other domain; the
     posterior_gap is then the squared MMD between the two domains'
@@ -177,7 +178,7 @@ def evaluate(bundle: ModelBundle, dataset: LabeledSet, level: float = 0.9,
         mae=mae(preds, dataset.labels),
         mse=mse(preds, dataset.labels),
         r2=_r2_or_none(preds, dataset.labels),
-        coverage90=coverage(predictive_interval(p, level), dataset.labels),
+        coverage90=coverage(predictive_interval(p, 0.9), dataset.labels),
         mean_aleatoric=float(al.mean()),
         mean_epistemic=float(ep.mean()),
         mean_total=float((al + ep).mean()),
@@ -319,7 +320,7 @@ class RunManifest:
     def create(cls, config: dict, seed: int, fingerprints: dict,
                wall_clock_s: float, metrics_file=None) -> "RunManifest":
         from . import __version__
-        versions = {"package": __version__, "checkpoint_format": 1}
+        versions = {"package": __version__, "checkpoint_format": CHECKPOINT_VERSION}
         return cls(config=config, seed=seed,
                    dataset_fingerprints=fingerprints,
                    artifact_versions=versions,

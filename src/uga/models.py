@@ -31,18 +31,15 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid}
-
 CHECKPOINT_MAGIC = "UGA-CHECKPOINT"
 CHECKPOINT_VERSION = 1
 
 
 @dataclasses.dataclass(frozen=True)
 class MlpSpec:
-    """Fully connected extractor: input -> hidden... -> feature widths."""
+    """Fully connected tanh extractor: input -> hidden... -> feature widths."""
 
     layer_widths: tuple[int, ...]
-    activation: str = "tanh"
     dropout_p: float = 0.1
 
     def __post_init__(self):
@@ -51,8 +48,6 @@ class MlpSpec:
             raise ValueError("MlpSpec needs an input and at least one layer width")
         if any(w <= 0 for w in self.layer_widths):
             raise ValueError("layer widths must be positive")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
 
@@ -150,16 +145,10 @@ def build_bundle(spec, seed: int = 0) -> ModelBundle:
 
 
 def _as_batch(x, dim: int) -> ad.Tensor:
-    if isinstance(x, ad.Tensor):
-        t = x
-    else:
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        t = ad.constant(a)
-    if len(t.shape) != 2 or t.shape[1] != dim:
-        raise ad.ShapeError(f"expected (B, {dim}) input, got {t.shape}")
-    return t
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise ad.ShapeError(f"expected (B, {dim}) input, got {a.shape}")
+    return ad.constant(a)
 
 
 def _affine(x: ad.Tensor, W: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
@@ -167,18 +156,17 @@ def _affine(x: ad.Tensor, W: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
 
 
 def mlp_forward(x, bundle: ModelBundle, training: bool = False, rng=None) -> ad.Tensor:
-    """Affine + activation per layer; inverted dropout after each layer
-    when training."""
+    """Affine + tanh per layer; inverted dropout after each layer when
+    training."""
     spec = bundle.spec
     if not isinstance(spec, MlpSpec):
         raise TypeError("mlp_forward needs an MlpSpec bundle")
-    act = _ACTIVATIONS[spec.activation]
     h = _as_batch(x, spec.layer_widths[0])
     use_dropout = training and spec.dropout_p > 0.0
     if use_dropout and rng is None:
         raise ValueError("training with dropout needs an rng")
     for i in range(len(spec.layer_widths) - 1):
-        h = act(_affine(h, bundle.params[f"mlp.{i}.W"], bundle.params[f"mlp.{i}.b"]))
+        h = ad.tanh(_affine(h, bundle.params[f"mlp.{i}.W"], bundle.params[f"mlp.{i}.b"]))
         if use_dropout:
             keep = (rng.random(h.shape) >= spec.dropout_p) / (1.0 - spec.dropout_p)
             h = h * ad.constant(keep)
@@ -190,9 +178,7 @@ def seq_forward(window, bundle: ModelBundle) -> ad.Tensor:
     spec = bundle.spec
     if not isinstance(spec, SeqEncoderSpec):
         raise TypeError("seq_forward needs a SeqEncoderSpec bundle")
-    w = np.asarray(window, dtype=np.float64) if not isinstance(window, ad.Tensor) else window.data
-    if w.ndim == 2:
-        w = w[np.newaxis]
+    w = np.asarray(window, dtype=np.float64)
     if w.ndim != 3 or w.shape[1] != spec.window_len or w.shape[2] != spec.input_dim:
         raise ad.ShapeError(
             f"expected (B, {spec.window_len}, {spec.input_dim}) window, got {w.shape}")
@@ -226,8 +212,6 @@ def _spec_field_ok(name: str, value) -> bool:
         return isinstance(v, int) and not isinstance(v, bool)
     if name == "layer_widths":
         return isinstance(value, list) and all(is_int(w) for w in value)
-    if name == "activation":
-        return isinstance(value, str)
     if name == "dropout_p":
         return is_int(value) or isinstance(value, float)
     return is_int(value)  # the SeqEncoderSpec sizes
@@ -240,8 +224,11 @@ def _spec_from_dict(kind: str, d) -> MlpSpec | SeqEncoderSpec:
     if cls is None:
         raise ValueError(f"unknown extractor kind {kind!r}")
     names = {f.name for f in dataclasses.fields(cls)}
-    if not isinstance(d, dict) or set(d) != names:
+    if not isinstance(d, dict):
         raise ValueError(f"{kind} spec needs exactly the fields {sorted(names)}")
+    if set(d) != names:
+        raise ValueError(f"{kind} spec needs exactly the fields {sorted(names)}, "
+                         f"not {sorted(d)}")
     for name, value in d.items():
         if not _spec_field_ok(name, value):
             raise ValueError(f"{kind} spec field {name!r} has bad value {value!r}")

@@ -142,6 +142,20 @@ class TestTrain:
                          "--out-dir", str(tmp_path / "x")]) == 2
         capsys.readouterr()
 
+    def test_diverging_run_exits_1_with_one_line(self, tmp_path, tiny_data):
+        # lr=1e308 overflows in Adam's step; numpy's warnings on the way to
+        # the loop's own finiteness check must not reach stderr.
+        cfg = tmp_path / "huge_lr.json"
+        cfg.write_text(json.dumps({"iterations": 2, "lr": 1e308}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uga.cli", "train", "--config", str(cfg),
+             "--source", str(tiny_data / "source.csv"),
+             "--out-dir", str(tmp_path / "run")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("training failed:")
+        assert proc.stderr.count("\n") == 1
+
     def test_bad_hidden_flag(self, tmp_path, tiny_data, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert cli.main(["train", "--config", str(cfg),

@@ -42,7 +42,7 @@ class TestMapping:
         assert p.beta.item() == pytest.approx(LN2, abs=1e-12)
 
     def test_large_raw_asymptote(self):
-        p = nig_from_raw(np.array([1.5, 50.0, 50.0, 50.0]))
+        p = nig_from_raw(ad.constant(np.array([[1.5, 50.0, 50.0, 50.0]])))
         assert p.gamma.item() == 1.5
         assert p.nu.item() == pytest.approx(50.0, abs=1e-9)
         assert p.alpha.item() == pytest.approx(51.0, abs=1e-9)
@@ -63,8 +63,8 @@ class TestMapping:
         assert np.all(np.isfinite(loss.data))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            nig_from_raw(np.array([0.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            nig_from_raw(ad.constant(np.array([[0.0, np.nan, 0.0, 0.0]])))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ad.ShapeError):

@@ -3,7 +3,7 @@ import pytest
 
 from uga import metrics as mt
 from uga.data import LabeledSet
-from uga.models import MlpSpec, build_bundle
+from uga.models import CHECKPOINT_VERSION, MlpSpec, build_bundle
 
 
 def trained_stub(seed=0):
@@ -236,6 +236,11 @@ class TestManifest:
         back = mt.RunManifest.load(path)
         assert back == m
         assert back.artifact_versions["package"]
+
+    def test_checkpoint_format_is_the_writers_version(self):
+        m = mt.RunManifest.create(config={}, seed=0, fingerprints={},
+                                  wall_clock_s=0.0)
+        assert m.artifact_versions["checkpoint_format"] == CHECKPOINT_VERSION
 
     def test_fingerprints_stable_and_distinct(self):
         a = np.arange(6.0).reshape(2, 3)
