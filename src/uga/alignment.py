@@ -83,7 +83,11 @@ def median_bandwidth(X, Y) -> float:
     np.median(d2[d2 > 0]), but the median is selected in place in the
     array pdist returns, without the two copies that form would make.
     """
-    pool = np.concatenate([_as_matrix(X), _as_matrix(Y)], axis=0)
+    X, Y = _as_matrix(X), _as_matrix(Y)
+    if X.shape[1] != Y.shape[1]:
+        raise ad.ShapeError(
+            f"sample dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
+    pool = np.concatenate([X, Y], axis=0)
     if pool.shape[0] < 2:
         raise ValueError("median_bandwidth needs at least 2 points")
     if not np.all(np.isfinite(pool)):
@@ -115,13 +119,6 @@ def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:
     """
     X = X if isinstance(X, ad.Tensor) else ad.constant(_as_matrix(X))
     Y = Y if isinstance(Y, ad.Tensor) else ad.constant(_as_matrix(Y))
-    if len(X.shape) != 2 or len(Y.shape) != 2:
-        raise ad.ShapeError("mmd2_biased expects 2-D sample matrices")
-    if X.shape[0] < 1 or Y.shape[0] < 1:
-        raise ValueError("mmd2_biased needs at least one sample per set")
-    if X.shape[1] != Y.shape[1]:
-        raise ad.ShapeError(
-            f"sample dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
     if bank is None:
         bank = KernelBank.median_scaled(X.data, Y.data)
 
@@ -144,7 +141,6 @@ def augmented_embedding(z, p: NigOutput, aug_weight: float = 1.0) -> ad.Tensor:
     z = z if isinstance(z, ad.Tensor) else ad.constant(_as_matrix(z))
     if not np.all(np.isfinite(z.data)):
         raise ValueError("non-finite feature input")
-    p.validate()
     if z.shape[0] != p.batch_size:
         raise ad.ShapeError(
             f"feature batch {z.shape[0]} != parameter batch {p.batch_size}")
@@ -156,5 +152,4 @@ def augmented_embedding(z, p: NigOutput, aug_weight: float = 1.0) -> ad.Tensor:
 
 def posterior_vector(p: NigOutput) -> ad.Tensor:
     """Rows [nu, alpha, beta]; gamma deliberately excluded."""
-    p.validate()
     return ad.concat([p.nu, p.alpha, p.beta])

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck as gc
-from .data import (LabeledSet, SyntheticShiftSpec, UnlabeledSet,
-                   gen_battery_curves, make_cubic_shift_pair, read_vector_csv,
-                   write_battery_csv, write_vector_csv)
-from .metrics import (MetricsRow, RunManifest, build_report_table, evaluate,
+from .data import (LabeledSet, SyntheticShiftSpec, gen_battery_curves,
+                   make_cubic_shift_pair, read_vector_csv, write_battery_csv,
+                   write_vector_csv)
+from .metrics import (MetricsRow, build_report_table, evaluate,
                       fingerprint_array, fingerprint_file, read_metrics_csv,
-                      write_metrics_csv, write_report_csv)
+                      write_manifest, write_metrics_csv, write_report_csv)
 from .models import MlpSpec, load_checkpoint, save_checkpoint
 from .train import HISTORY_COLUMNS, TrainConfig, train_uga
 
@@ -178,12 +178,12 @@ def _cmd_train(args) -> int:
 
     source = _load_labeled(args.source)
     if args.target is not None:
-        target = UnlabeledSet(_read_vectors(args.target)[0])
-        if target.inputs.shape[1] != source.inputs.shape[1]:
-            raise UsageError(f"{args.target}: {target.inputs.shape[1]} input "
+        target = _read_vectors(args.target)[0]
+        if target.shape[1] != source.inputs.shape[1]:
+            raise UsageError(f"{args.target}: {target.shape[1]} input "
                              f"columns, the source has {source.inputs.shape[1]}")
     else:
-        target = UnlabeledSet(np.zeros((0, source.inputs.shape[1])))
+        target = np.zeros((0, source.inputs.shape[1]))
 
     try:
         hidden = tuple(int(w) for w in args.hidden.split(","))
@@ -210,11 +210,9 @@ def _cmd_train(args) -> int:
     fingerprints = {"source": fingerprint_array(source.inputs),
                     "source_labels": fingerprint_array(source.labels)}
     if len(target):
-        fingerprints["target"] = fingerprint_array(target.inputs)
-    manifest = RunManifest.create(config=json.loads(cfg.to_json()),
-                                  seed=cfg.seed, fingerprints=fingerprints,
-                                  wall_clock_s=elapsed)
-    manifest.save(out_dir / "manifest.json")
+        fingerprints["target"] = fingerprint_array(target)
+    write_manifest(out_dir / "manifest.json", json.loads(cfg.to_json()),
+                   cfg.seed, fingerprints, elapsed)
     print(f"trained {cfg.iterations} iterations "
           f"({cfg.alignment.value}); artifacts in {out_dir}")
     return 0
@@ -246,12 +244,10 @@ def _cmd_eval(args) -> int:
                     "checkpoint": fingerprint_file(args.checkpoint)}
     if reference is not None:
         fingerprints["reference"] = fingerprint_array(reference)
-    manifest = RunManifest.create(
-        config={"checkpoint": str(args.checkpoint), "data": str(args.data),
-                "task": args.task, "method": args.method},
-        seed=args.seed, fingerprints=fingerprints, wall_clock_s=elapsed,
-        metrics_file=out.name)
-    manifest.save(out.with_suffix(".manifest.json"))
+    write_manifest(out.with_suffix(".manifest.json"),
+                   {"checkpoint": str(args.checkpoint), "data": str(args.data),
+                    "task": args.task, "method": args.method},
+                   args.seed, fingerprints, elapsed, metrics_file=out.name)
     print(f"wrote {out} (task={args.task} method={args.method} "
           f"mae={report.mae:.6g})")
     return 0

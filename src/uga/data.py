@@ -19,7 +19,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "LabeledSet",
-    "UnlabeledSet",
     "BatteryRecord",
     "SyntheticShiftSpec",
     "LabelBounds",
@@ -77,19 +76,9 @@ class LabeledSet:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def unlabeled(self) -> "UnlabeledSet":
-        return UnlabeledSet(self.inputs)
-
-
-@dataclasses.dataclass
-class UnlabeledSet:
-    inputs: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
+    def unlabeled(self) -> np.ndarray:
+        """The inputs alone, as train_uga takes a target domain."""
+        return self.inputs
 
 
 @dataclasses.dataclass(frozen=True)

@@ -29,18 +29,31 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class NigOutput:
     """A batch of Normal-Inverse-Gamma parameter sets, one row per sample.
 
-    Each field is a (B, 1) tensor.  Valid outputs satisfy nu > 0,
-    alpha > 1, beta > 0 with all values finite.
+    Each field is a (B, 1) tensor.  Construction checks that every value is
+    finite and that nu > 0, alpha > 1, beta > 0, so an invalid NigOutput
+    cannot exist.
     """
 
     gamma: ad.Tensor
     nu: ad.Tensor
     alpha: ad.Tensor
     beta: ad.Tensor
+
+    def __post_init__(self):
+        for name, t in (("gamma", self.gamma), ("nu", self.nu),
+                        ("alpha", self.alpha), ("beta", self.beta)):
+            if not np.all(np.isfinite(t.data)):
+                raise ValueError(f"non-finite {name} in NigOutput")
+        if np.any(self.nu.data <= 0):
+            raise ValueError("NigOutput requires nu > 0")
+        if np.any(self.alpha.data <= 1):
+            raise ValueError("NigOutput requires alpha > 1")
+        if np.any(self.beta.data <= 0):
+            raise ValueError("NigOutput requires beta > 0")
 
     @classmethod
     def from_values(cls, gamma, nu, alpha, beta) -> "NigOutput":
@@ -53,18 +66,6 @@ class NigOutput:
     @property
     def batch_size(self) -> int:
         return self.gamma.shape[0]
-
-    def validate(self) -> None:
-        for name, t in (("gamma", self.gamma), ("nu", self.nu),
-                        ("alpha", self.alpha), ("beta", self.beta)):
-            if not np.all(np.isfinite(t.data)):
-                raise ValueError(f"non-finite {name} in NigOutput")
-        if np.any(self.nu.data <= 0):
-            raise ValueError("NigOutput requires nu > 0")
-        if np.any(self.alpha.data <= 1):
-            raise ValueError("NigOutput requires alpha > 1")
-        if np.any(self.beta.data <= 0):
-            raise ValueError("NigOutput requires beta > 0")
 
 
 def _as_column_array(v) -> np.ndarray:
@@ -93,8 +94,9 @@ def nig_from_raw(raw: ad.Tensor) -> NigOutput:
     """Map the (B, 4) tensor of raw head outputs to valid NIG parameters.
 
     gamma = raw[:,0]; nu = softplus(raw[:,1]); alpha = softplus(raw[:,2]) + 1;
-    beta = softplus(raw[:,3]).  The softplus/+1 construction guarantees
-    nu > 0, alpha > 1, beta > 0 for any finite raw input.
+    beta = softplus(raw[:,3]).  alpha > 1 holds for any finite raw input;
+    softplus underflows to 0 below about -745, so a raw nu or beta column
+    that low fails NigOutput's nu > 0 / beta > 0 check with a ValueError.
     """
     if len(raw.shape) != 2 or raw.shape[1] != 4:
         raise ad.ShapeError(f"raw head output must be (B, 4), got {raw.shape}")
@@ -115,7 +117,6 @@ def nll_loss(y, p: NigOutput) -> ad.Tensor:
     0.5*log(pi/nu) - alpha*log(2*beta*(1+nu)) + lgamma(alpha)
     - lgamma(alpha+0.5) + (alpha+0.5)*log((y-gamma)^2*nu + 2*beta*(1+nu))
     """
-    p.validate()
     y = _as_column_tensor(y, p.batch_size)
     gamma, nu, alpha, beta = p.gamma, p.nu, p.alpha, p.beta
     omega = 2.0 * beta * (1.0 + nu)
@@ -131,7 +132,6 @@ def nll_loss(y, p: NigOutput) -> ad.Tensor:
 
 def evidence_regularizer(y, p: NigOutput) -> ad.Tensor:
     """Per-sample evidence penalty |y - gamma| * (2*nu + alpha), shape (B, 1)."""
-    p.validate()
     y = _as_column_tensor(y, p.batch_size)
     return ad.abs(y - p.gamma) * (2.0 * p.nu + p.alpha)
 
@@ -155,7 +155,6 @@ def uncertainties(p: NigOutput) -> tuple[np.ndarray, np.ndarray]:
     aleatoric = beta/(alpha-1) is the expected noise variance; epistemic =
     beta/(nu*(alpha-1)) is the variance of the predicted mean.
     """
-    p.validate()
     alpha = p.alpha.data.ravel()
     beta = p.beta.data.ravel()
     nu = p.nu.data.ravel()
@@ -173,7 +172,6 @@ def predictive_interval(p: NigOutput, level: float) -> tuple[np.ndarray, np.ndar
     """
     if not 0.0 <= level < 1.0:
         raise ValueError("level must be in [0, 1)")
-    p.validate()
     gamma = p.gamma.data.ravel()
     nu = p.nu.data.ravel()
     alpha = p.alpha.data.ravel()

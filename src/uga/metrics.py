@@ -17,6 +17,7 @@ import json
 
 import numpy as np
 
+from . import __version__
 from . import autodiff as ad
 from .alignment import mmd2_biased
 from .data import LabeledSet
@@ -30,22 +31,18 @@ __all__ = [
     "coverage",
     "MetricsReport",
     "MetricsRow",
-    "RunManifest",
     "evaluate",
-    "uncertainty_histograms",
     "write_metrics_csv",
     "read_metrics_csv",
-    "write_histogram_csv",
     "build_report_table",
     "write_report_csv",
     "fingerprint_array",
     "fingerprint_file",
+    "write_manifest",
 ]
 
 METRICS_COLUMNS = ("task", "method", "seed", "mae", "mse", "r2",
                    "coverage90", "posterior_gap")
-HISTOGRAM_COLUMNS = ("domain", "sample_idx", "aleatoric", "epistemic", "total")
-SUMMARY_STATS = ("q05", "q25", "q50", "q75", "q95", "mean")
 
 EVAL_CHUNK = 512
 
@@ -149,11 +146,6 @@ def _forward_chunks(bundle: ModelBundle, inputs: np.ndarray):
     return np.vstack(parts)
 
 
-def _posterior_params(bundle, inputs) -> NigOutput:
-    cols = _forward_chunks(bundle, inputs)
-    return NigOutput.from_values(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
-
-
 def evaluate(bundle: ModelBundle, dataset: LabeledSet,
              reference_inputs=None) -> MetricsReport:
     """Score a bundle on one labeled domain; coverage90 is the share of
@@ -186,36 +178,6 @@ def evaluate(bundle: ModelBundle, dataset: LabeledSet,
     )
 
 
-def uncertainty_histograms(bundle: ModelBundle, domain_sets: dict):
-    """Per-sample uncertainty rows plus per-domain summary quantiles.
-
-    domain_sets maps a domain name to an input array.  Returns
-    (rows, summary): rows follow HISTOGRAM_COLUMNS; summary rows are
-    (domain, statistic, aleatoric, epistemic, total).
-    """
-    if not domain_sets:
-        raise ValueError("no domains given")
-    rows = []
-    summary = []
-    for domain, inputs in domain_sets.items():
-        inputs = np.asarray(inputs)
-        if inputs.shape[0] == 0:
-            raise ValueError(f"empty domain {domain!r}")
-        p = _posterior_params(bundle, inputs)
-        al, ep = uncertainties(p)
-        total = al + ep
-        for idx in range(al.size):
-            rows.append((domain, idx, al[idx], ep[idx], total[idx]))
-        qs = (0.05, 0.25, 0.50, 0.75, 0.95)
-        for stat, q in zip(SUMMARY_STATS, qs):
-            summary.append((domain, stat, float(np.quantile(al, q)),
-                            float(np.quantile(ep, q)),
-                            float(np.quantile(total, q))))
-        summary.append((domain, "mean", float(al.mean()), float(ep.mean()),
-                        float(total.mean())))
-    return rows, summary
-
-
 # -- artifacts --------------------------------------------------------------
 
 def _fmt(x) -> str:
@@ -245,14 +207,6 @@ def read_metrics_csv(path) -> list[dict]:
         if header != METRICS_COLUMNS:
             raise ValueError(f"unexpected metrics header {header}")
         return list(reader)
-
-
-def write_histogram_csv(path, rows) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(HISTOGRAM_COLUMNS)
-        for domain, idx, al, ep, total in rows:
-            writer.writerow([domain, str(idx), _fmt(al), _fmt(ep), _fmt(total)])
 
 
 def build_report_table(metric_dicts: list[dict], metric: str = "mae"):
@@ -305,35 +259,15 @@ def fingerprint_file(path) -> str:
     return h.hexdigest()
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """Provenance sidecar: one manifest per emitted metrics file."""
-
-    config: dict
-    seed: int
-    dataset_fingerprints: dict
-    artifact_versions: dict
-    wall_clock_s: float
-    metrics_file: str | None = None
-
-    @classmethod
-    def create(cls, config: dict, seed: int, fingerprints: dict,
-               wall_clock_s: float, metrics_file=None) -> "RunManifest":
-        from . import __version__
-        versions = {"package": __version__, "checkpoint_format": CHECKPOINT_VERSION}
-        return cls(config=config, seed=seed,
-                   dataset_fingerprints=fingerprints,
-                   artifact_versions=versions,
-                   wall_clock_s=wall_clock_s, metrics_file=metrics_file)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        with open(path) as f:
-            return cls(**json.load(f))
+def write_manifest(path, config: dict, seed: int, fingerprints: dict,
+                   wall_clock_s: float, metrics_file=None) -> None:
+    """Write the provenance sidecar of one run or metrics file as JSON."""
+    manifest = {
+        "config": config, "seed": seed,
+        "dataset_fingerprints": fingerprints,
+        "artifact_versions": {"package": __version__,
+                              "checkpoint_format": CHECKPOINT_VERSION},
+        "wall_clock_s": wall_clock_s, "metrics_file": metrics_file,
+    }
+    with open(path, "w") as f:
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

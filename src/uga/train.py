@@ -25,7 +25,7 @@ from .alignment import (
     mmd2_biased,
     posterior_vector,
 )
-from .data import LabeledSet, UnlabeledSet
+from .data import LabeledSet
 from .evidential import evidential_loss
 from .models import ModelBundle, build_bundle, model_forward
 
@@ -155,13 +155,14 @@ class AdamOptimizer:
 
 # -- loss assembly ----------------------------------------------------------
 
-def assemble_loss(src_batch: LabeledSet, tgt_batch: UnlabeledSet,
+def assemble_loss(src_batch: LabeledSet, tgt_batch: np.ndarray,
                   bundle: ModelBundle, cfg: TrainConfig, p: float,
                   training: bool = False, src_rng=None, tgt_rng=None):
     """Returns (total loss tensor, supervised value, alignment value).
 
-    The supervised term sees source labels only; the alignment term pairs
-    the two domains per cfg.alignment and is scaled by lambda_schedule(p).
+    tgt_batch holds target inputs only.  The supervised term sees source
+    labels only; the alignment term pairs the two domains per cfg.alignment
+    and is scaled by lambda_schedule(p).
     """
     if len(src_batch) == 0:
         raise ValueError("empty source batch")
@@ -176,7 +177,7 @@ def assemble_loss(src_batch: LabeledSet, tgt_batch: UnlabeledSet,
     if cfg.alignment is AlignmentKind.NONE:
         return sup, sup.item(), 0.0
 
-    z_t, head_t = model_forward(tgt_batch.inputs, bundle,
+    z_t, head_t = model_forward(tgt_batch, bundle,
                                 training=training, rng=tgt_rng)
     if cfg.alignment is AlignmentKind.UGA_FEATURE:
         align = mmd2_biased(augmented_embedding(z_s, head_s, cfg.aug_weight),
@@ -195,12 +196,14 @@ def _global_grad_norm(tensors) -> float:
     return math.sqrt(total)
 
 
-def train_uga(source: LabeledSet, target: UnlabeledSet, cfg: TrainConfig,
+def train_uga(source: LabeledSet, target: np.ndarray, cfg: TrainConfig,
               model_spec) -> tuple[ModelBundle, list[HistoryRow]]:
-    """Run the full loop; returns the trained bundle and per-iteration
-    history (supervised loss, alignment loss, lambda)."""
+    """Run the full loop on labeled source data and an array of target
+    inputs; returns the trained bundle and per-iteration history
+    (supervised loss, alignment loss, lambda)."""
     if len(source) == 0:
         raise ValueError("empty source set")
+    target = np.asarray(target, dtype=np.float64)
     needs_target = cfg.alignment is not AlignmentKind.NONE
     if needs_target and len(target) == 0:
         raise ValueError("adaptation run needs a non-empty target set")
@@ -223,9 +226,9 @@ def train_uga(source: LabeledSet, target: UnlabeledSet, cfg: TrainConfig,
         src_batch = LabeledSet(source.inputs[idx_s], source.labels[idx_s])
         if has_target:
             idx_t = rng_sample.integers(0, len(target), size=cfg.batch_size)
-            tgt_batch = UnlabeledSet(target.inputs[idx_t])
+            tgt_batch = target[idx_t]
         else:
-            tgt_batch = UnlabeledSet(target.inputs)
+            tgt_batch = target
 
         p = i / cfg.iterations
         bundle.zero_grad()

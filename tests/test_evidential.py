@@ -54,7 +54,6 @@ class TestMapping:
         rng = np.random.default_rng(7)
         raw = rng.uniform(-100.0, 100.0, size=(100_000, 4))
         p = nig_from_raw(ad.constant(raw))
-        p.validate()
         assert np.all(p.nu.data > 0)
         assert np.all(p.alpha.data > 1)
         assert np.all(p.beta.data > 0)
@@ -71,12 +70,18 @@ class TestMapping:
             nig_from_raw(ad.constant(np.zeros((2, 3))))
 
     def test_validate_rejects_violations(self):
-        with pytest.raises(ValueError):
-            NigOutput.from_values(0.0, -1.0, 2.0, 1.0).validate()
-        with pytest.raises(ValueError):
-            NigOutput.from_values(0.0, 1.0, 1.0, 1.0).validate()
-        with pytest.raises(ValueError):
-            NigOutput.from_values(0.0, 1.0, 2.0, 0.0).validate()
+        # Construction checks the invariant, so no invalid NigOutput exists.
+        with pytest.raises(ValueError, match="nu > 0"):
+            NigOutput.from_values(0.0, -1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="alpha > 1"):
+            NigOutput.from_values(0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="beta > 0"):
+            NigOutput.from_values(0.0, 1.0, 2.0, 0.0)
+
+    def test_underflowed_softplus_rejected(self):
+        # softplus(-800) underflows to 0.0, so nu and beta would be 0.
+        with pytest.raises(ValueError, match="NigOutput requires nu > 0"):
+            nig_from_raw(ad.constant([[0.0, -800.0, 0.0, -800.0]]))
 
 
 class TestNll:

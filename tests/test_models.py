@@ -202,7 +202,7 @@ class TestModelForward:
         rng = np.random.default_rng(17)
         bundle = build_bundle(MlpSpec(layer_widths=(3, 6, 4)), seed=9)
         _z, p = model_forward(rng.normal(size=(32, 3)), bundle)
-        p.validate()
+        # NigOutput checks nu > 0, alpha > 1, beta > 0 when it is built.
         assert isinstance(p, NigOutput)
 
     def test_batch_order_preserved(self):

@@ -12,7 +12,7 @@ import uga
 from uga import autodiff as ad
 from uga import train as tr
 from uga.alignment import AlignmentKind
-from uga.data import LabeledSet, SyntheticShiftSpec, UnlabeledSet, make_cubic_shift_pair
+from uga.data import LabeledSet, SyntheticShiftSpec, make_cubic_shift_pair
 from uga.evidential import evidential_loss
 from uga.models import MlpSpec, model_forward
 
@@ -184,14 +184,14 @@ class TestAssembleLoss:
         src, _ = tiny_domains()
         cfg = tr.TrainConfig(alignment=AlignmentKind.UGA_POSTERIOR)
         bundle = tr.build_bundle(self.spec(), seed=3)
-        same = UnlabeledSet(src.inputs)
+        same = src.inputs
         _loss, _sup, align = tr.assemble_loss(src, same, bundle, cfg, p=0.5)
         assert align == 0.0
 
     def test_empty_batches_rejected(self):
         src, tgt = tiny_domains()
         empty_l = LabeledSet(np.zeros((0, 1)), np.zeros(0))
-        empty_u = UnlabeledSet(np.zeros((0, 1)))
+        empty_u = np.zeros((0, 1))
         bundle = tr.build_bundle(self.spec(), seed=4)
         with pytest.raises(ValueError):
             tr.assemble_loss(empty_l, tgt,
@@ -269,7 +269,7 @@ class TestTrainLoop:
     def test_adaptation_needs_target(self):
         src, _ = tiny_domains()
         with pytest.raises(ValueError):
-            tr.train_uga(src, UnlabeledSet(np.zeros((0, 1))), self.cfg(),
+            tr.train_uga(src, np.zeros((0, 1)), self.cfg(),
                          self.spec())
 
 

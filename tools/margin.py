@@ -1,24 +1,29 @@
-"""Perturbation protocol for the headline gate's margin.
+"""Perturbation protocol for the cubic acceptance gate.
 
-`tests/test_acceptance.py::test_alignment_improves_target_mae` asks the
-feature-aligned arm's 5-seed median target MAE to be at most 0.9 times the
-source-only arm's.  This script retrains both arms with the initial weight
+`tests/test_acceptance.py` asks, over acceptance seeds 0-4, that the
+feature-aligned arm's median target MAE be at most 0.9 times the
+source-only arm's, the posterior-aligned arm's at most 1.0 times it, and
+the posterior arm's median posterior gap at most 0.5 times the source-only
+one.  This script retrains all three arms with the initial weight
 `mlp.0.W[0,0]` stepped by k ulp (`np.nextafter`, applied to the bundle that
-`uga.train.build_bundle` returns) and reports whether that margin survives:
+`uga.train.build_bundle` returns), k in {0, +1, -1, +2, -2}, over the gate's
+seeds 0-4 and the held-out seeds 5-9, and reports:
 
-  * feature arm at k = +1, -1, +2, -2 and source-only arm at k = +1, -1,
-    acceptance seeds 0-4, the gate's data, model and config;
-  * per-seed target MAEs, per-nudge medians, the pooled medians over all
-    nudged runs of each arm and their ratio;
-  * how many same-k pairs pass the gate's 0.9 bound.
+  * per-seed target MAEs for every (arm, k);
+  * every (k, seed-half) cell: the feature/none MAE ratio against 0.9, the
+    posterior/none MAE ratio against 1.0 and the gap ratio against 0.5;
+  * per arm and seed half, and over all 50 runs, the median pooled over k
+    and the paired difference against `none` (same k, same seed): mean +-
+    standard error, and the share of pairs in which the arm's MAE is lower.
 
-Data, model and config come from the acceptance file itself, so the
-protocol and the gate cannot drift apart.  BLAS runs on one thread.
+Data, model, config and evaluation come from the acceptance file itself, so
+the protocol and the gate cannot drift apart.  k = 0 on seeds 0-4 is the
+gate.  BLAS runs on one thread.
 
     python3 tools/margin.py [--jobs 2]
 
-It trains 30 models of 800 iterations: a few minutes with two processes on
-a 2-core x86 machine.
+It trains 150 models of 800 iterations: about ten minutes with two
+processes on a 2-core x86 machine.
 """
 
 import os
@@ -42,8 +47,12 @@ import uga.train
 from test_acceptance import CUBIC_SEEDS, CUBIC_SPEC, _cubic_config, _cubic_sets
 from uga.metrics import evaluate
 
-NUDGES = {"none": (1, -1), "uga_feature": (1, -1, 2, -2)}
-BOUND = 0.9
+ARMS = ("none", "uga_feature", "uga_posterior")
+NUDGES = (0, 1, -1, 2, -2)
+HALVES = {"0-4": range(CUBIC_SEEDS), "5-9": range(CUBIC_SEEDS, 2 * CUBIC_SEEDS)}
+# The gate's bounds on the (arm median / none median) ratios.
+MAE_BOUND = {"uga_feature": 0.9, "uga_posterior": 1.0}
+GAP_BOUND = 0.5
 
 
 def _nudged(build, k):
@@ -57,8 +66,9 @@ def _nudged(build, k):
     return build_nudged
 
 
-def target_mae(method, k, seed):
-    src, tgt_tr, _src_te, tgt_te = _cubic_sets(seed)
+def run(method, k, seed):
+    """(target MAE, posterior gap) of one gate run with a k-ulp nudge."""
+    src, tgt_tr, src_te, tgt_te = _cubic_sets(seed)
     original = uga.train.build_bundle
     uga.train.build_bundle = _nudged(original, k)
     try:
@@ -66,7 +76,12 @@ def target_mae(method, k, seed):
                                         _cubic_config(method, seed), CUBIC_SPEC)
     finally:
         uga.train.build_bundle = original
-    return evaluate(bundle, tgt_te).mae
+    rep = evaluate(bundle, tgt_te, reference_inputs=src_te.inputs)
+    return rep.mae, rep.posterior_gap
+
+
+def _verdict(ratio, bound):
+    return f"{ratio:.3f} {'<=' if ratio <= bound else '> '} {bound:.1f}"
 
 
 def main(argv=None):
@@ -77,31 +92,54 @@ def main(argv=None):
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
-    runs = [(method, k, seed) for method, ks in NUDGES.items() for k in ks
-            for seed in range(CUBIC_SEEDS)]
+    seeds = range(2 * CUBIC_SEEDS)
+    runs = [(m, k, s) for m in ARMS for k in NUDGES for s in seeds]
     spawn = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(args.jobs, mp_context=spawn) as pool:
-        maes = dict(zip(runs, pool.map(target_mae, *zip(*runs))))
+        results = dict(zip(runs, pool.map(run, *zip(*runs))))
+    mae = {r: v[0] for r, v in results.items()}
+    gap = {r: v[1] for r, v in results.items()}
 
-    medians = {}
-    for method, ks in NUDGES.items():
-        for k in ks:
-            per_seed = [maes[method, k, s] for s in range(CUBIC_SEEDS)]
-            medians[method, k] = float(np.median(per_seed))
-            print(f"{method:<12} k={k:+d}  seeds "
-                  + " ".join(f"{m:.4f}" for m in per_seed)
-                  + f"  median {medians[method, k]:.4f}")
-    pooled = {method: float(np.median([maes[r] for r in runs if r[0] == method]))
-              for method in NUDGES}
-    ratio = pooled["uga_feature"] / pooled["none"]
-    print(f"pooled medians: none {pooled['none']:.4f}, "
-          f"uga_feature {pooled['uga_feature']:.4f} (ratio {ratio:.3f})")
-    same_k = [k for k in NUDGES["none"] if k in NUDGES["uga_feature"]]
-    passing = [k for k in same_k
-               if medians["uga_feature", k] <= BOUND * medians["none", k]]
-    print(f"same-k pairs passing feature <= {BOUND} x none: "
-          f"{len(passing)} of {len(same_k)}"
-          + (f" (k = {', '.join(f'{k:+d}' for k in passing)})" if passing else ""))
+    print("target MAE per seed (0-9), k = ulp nudge of mlp.0.W[0,0]")
+    for m in ARMS:
+        for k in NUDGES:
+            print(f"  {m:<13} k={k:+d}  "
+                  + " ".join(f"{mae[m, k, s]:.4f}" for s in seeds))
+
+    print("\nfive-seed median ratios against none, per (k, seed half)")
+    passed = {"uga_feature": 0, "uga_posterior": 0, "gap": 0}
+    for k in NUDGES:
+        for half, hs in HALVES.items():
+            med = {m: float(np.median([mae[m, k, s] for s in hs])) for m in ARMS}
+            gap_ratio = (float(np.median([gap["uga_posterior", k, s] for s in hs]))
+                         / float(np.median([gap["none", k, s] for s in hs])))
+            cells = []
+            for m, bound in MAE_BOUND.items():
+                passed[m] += med[m] / med["none"] <= bound
+                cells.append(f"{m[4:]} {_verdict(med[m] / med['none'], bound)}")
+            passed["gap"] += gap_ratio <= GAP_BOUND
+            cells.append(f"gap {_verdict(gap_ratio, GAP_BOUND)}")
+            gate = "  (the gate)" if k == 0 and half == "0-4" else ""
+            print(f"  k={k:+d} seeds {half}: none {med['none']:.4f}  "
+                  + "  ".join(cells) + gate)
+    cells = len(NUDGES) * len(HALVES)
+    print(f"  cells within bound: feature {passed['uga_feature']}/{cells}, "
+          f"posterior {passed['uga_posterior']}/{cells}, "
+          f"gap {passed['gap']}/{cells}")
+
+    print(f"\npooled over k: medians and paired differences against none "
+          f"(same k, same seed)")
+    for half, hs in {**HALVES, "0-9": seeds}.items():
+        pool = [(k, s) for k in NUDGES for s in hs]
+        base = float(np.median([mae["none", k, s] for k, s in pool]))
+        print(f"  seeds {half} ({len(pool)} runs per arm): none {base:.4f}")
+        for m in ARMS[1:]:
+            pooled = float(np.median([mae[m, k, s] for k, s in pool]))
+            diff = np.array([mae[m, k, s] - mae["none", k, s] for k, s in pool])
+            se = diff.std(ddof=1) / np.sqrt(diff.size)
+            print(f"    {m:<14} {pooled:.4f} (x{pooled / base:.3f})  "
+                  f"diff {diff.mean():+.4f} +- {se:.4f} SE, "
+                  f"lower in {np.mean(diff < 0):.0%} of pairs")
     return 0
 
 
