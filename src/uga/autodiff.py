@@ -26,8 +26,8 @@ __all__ = [
     "Tensor", "ShapeError", "DomainError", "no_grad", "constant", "param",
     "add", "sub", "mul", "div", "pow", "exp", "log", "tanh",
     "sigmoid", "softplus", "abs", "sum", "mean", "add_row",
-    "concat", "slice_last", "matmul", "transpose", "reshape", "lgamma",
-    "lstm", "mmd", "backward", "ones", "zeros",
+    "concat", "slice_last", "slice_rows", "matmul", "transpose", "reshape",
+    "lgamma", "lstm", "mmd", "backward", "ones", "zeros",
 ]
 
 class ShapeError(ValueError):
@@ -387,21 +387,31 @@ def concat(tensors: Sequence) -> Tensor:
     return Tensor._from_op(np.concatenate([t.data for t in ts], axis=-1), ts, backward_fn)
 
 
-def slice_last(a, start: int, stop: int) -> Tensor:
-    """Slice [start:stop] along the last axis."""
+def _slice(a, axis: int, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim == 0:
         raise ShapeError("cannot slice a 0-d tensor")
-    width = a.data.shape[-1]
-    if not (0 <= start <= stop <= width):
-        raise ShapeError(f"slice [{start}:{stop}] out of bounds for axis of size {width}")
+    size = a.data.shape[axis]
+    if not (0 <= start <= stop <= size):
+        raise ShapeError(f"slice [{start}:{stop}] out of bounds for axis of size {size}")
+    index = (slice(None),) * (axis % a.data.ndim) + (slice(start, stop),)
 
     def backward_fn(g):
         full = np.zeros_like(a.data)
-        full[..., start:stop] = g
+        full[index] = g
         return (full,)
 
-    return Tensor._from_op(a.data[..., start:stop].copy(), (a,), backward_fn)
+    return Tensor._from_op(a.data[index].copy(), (a,), backward_fn)
+
+
+def slice_last(a, start: int, stop: int) -> Tensor:
+    """Slice [start:stop] along the last axis."""
+    return _slice(a, -1, start, stop)
+
+
+def slice_rows(a, start: int, stop: int) -> Tensor:
+    """Slice [start:stop] along the first axis."""
+    return _slice(a, 0, start, stop)
 
 
 def matmul(a, b) -> Tensor:
@@ -503,7 +513,8 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
         shift = 1.0 - scale
         # Stacked, not one (T*B, in) gemm: numpy computes a one-row product
         # as a gemv, which rounds differently from the gemm at batch 1.
-        proj = seq @ (Wx.data * scale[0]) + b.data * scale[0]
+        proj = seq @ (Wx.data * scale[0])
+        proj += b.data * scale[0]
         wh = Wh.data * scale[0]
         hs = np.zeros((steps + 1, batch, h))   # hs[t + 1] is h_t; hs[0] = 0
         c = np.zeros((batch, h))

@@ -314,52 +314,44 @@ def read_vector_csv(path):
 def ingest_battery_csv(path) -> list[list[BatteryRecord]]:
     """Read the canonical schema, group rows into contiguous per-cycle
     series, and downsample each series to 1 Hz (first sample per
-    1-second bucket)."""
+    1-second bucket).  Every row is checked; records are built only for
+    the rows the downsampling keeps."""
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
+        reader = csv.reader(f)
+        # The last of repeated names wins, as in csv.DictReader.
+        position = {name: k for k, name in enumerate(next(reader, []))}
         for col in CSV_COLUMNS:
-            if col not in header:
+            if col not in position:
                 raise ValueError(f"{path}: battery CSV is missing column {col!r}")
-        rows = list(reader)
-    series_list: list[list[BatteryRecord]] = []
-    current_tag = None
-    block: list[BatteryRecord] = []
-    for idx, row in enumerate(rows):
-        try:
-            rec = BatteryRecord(t=float(row["time_s"]), v=float(row["voltage_v"]),
-                                i=float(row["current_a"]), temp=float(row["temp_c"]),
-                                soc=float(row["soc"]), cycle=row["cycle"])
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: bad battery CSV row {idx + 2}: {e}") from None
-        if not all(map(math.isfinite, (rec.t, rec.v, rec.i, rec.temp, rec.soc))):
-            raise ValueError(f"{path}: non-finite value in battery CSV row {idx + 2}")
-        if not 0.0 <= rec.soc <= 1.0:
-            raise ValueError(f"{path}: soc {rec.soc} outside [0, 1] at row {idx + 2}")
-        if rec.cycle != current_tag:
-            if block:
+        cols = [position[col] for col in CSV_COLUMNS]
+        width = max(cols) + 1
+        series_list: list[list[BatteryRecord]] = []
+        tag = last_t = None
+        # filter(None, ...) skips blank lines, which are not data rows.
+        for row_no, row in enumerate(filter(None, reader), start=2):
+            try:
+                if len(row) < width:
+                    raise ValueError(f"{len(row)} fields, the header names {width}")
+                t, v, i, temp, soc = (float(row[k]) for k in cols[:5])
+            except ValueError as e:
+                raise ValueError(f"{path}: bad battery CSV row {row_no}: {e}") from None
+            if not all(map(math.isfinite, (t, v, i, temp, soc))):
+                raise ValueError(f"{path}: non-finite value in battery CSV row {row_no}")
+            if not 0.0 <= soc <= 1.0:
+                raise ValueError(f"{path}: soc {soc} outside [0, 1] at row {row_no}")
+            cycle = row[cols[5]]
+            if cycle != tag:
+                tag, block = cycle, []
                 series_list.append(block)
-            current_tag = rec.cycle
-            block = []
-        if block and rec.t <= block[-1].t:
-            raise ValueError(
-                f"{path}: non-monotone time within cycle {rec.cycle!r} "
-                f"at row {idx + 2}")
-        block.append(rec)
-    if block:
-        series_list.append(block)
-    return [_downsample_1hz(s) for s in series_list]
-
-
-def _downsample_1hz(series: list[BatteryRecord]) -> list[BatteryRecord]:
-    out = []
-    last_bucket = None
-    for r in series:
-        bucket = math.floor(r.t)
-        if bucket != last_bucket:
-            out.append(r)
-            last_bucket = bucket
-    return out
+            elif t <= last_t:
+                raise ValueError(
+                    f"{path}: non-monotone time within cycle {cycle!r} "
+                    f"at row {row_no}")
+            last_t = t
+            if not block or math.floor(t) != math.floor(block[-1].t):
+                block.append(BatteryRecord(t=t, v=v, i=i, temp=temp, soc=soc,
+                                           cycle=cycle))
+    return series_list
 
 
 def windows_to_set(series_list, length: int = 100, stride: int = 1) -> LabeledSet:

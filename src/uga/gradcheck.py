@@ -108,6 +108,12 @@ def suite_primitives(seed: int = 0) -> float:
         lambda ls: ad.mean(ad.slice_last(ad.concat([ls[0], ad.transpose(
             ad.reshape(ls[0], (3, 2)))], ), 1, 4) * 2.0 - 0.3),
         [e]))
+
+    f = ad.param(rng.normal(size=(5, 3)))
+    worst = max(worst, compare(
+        lambda ls: ad.sum(ad.tanh(ad.slice_rows(ls[0], 1, 4))
+                          * ad.slice_rows(ls[0], 2, 5)),
+        [f]))
     return worst
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .alignment import mmd2_biased
+from .alignment import mmd2_biased, posterior_vector
 from .data import LabeledSet
 from .evidential import NigOutput, predictive_interval, uncertainties
 from .models import CHECKPOINT_VERSION, ModelBundle, model_forward
@@ -134,16 +134,15 @@ class MetricsRow:
     report: MetricsReport
 
 
-def _forward_chunks(bundle: ModelBundle, inputs: np.ndarray):
-    """Concatenated (gamma, nu, alpha, beta) columns, without building a
-    persistent graph."""
-    parts = []
+def _forward_chunks(bundle: ModelBundle, inputs: np.ndarray) -> NigOutput:
+    """The NIG head over every row, evaluated chunk by chunk without
+    building a persistent graph."""
+    heads = []
     with ad.no_grad():
         for start in range(0, inputs.shape[0], EVAL_CHUNK):
-            _z, out = model_forward(inputs[start:start + EVAL_CHUNK], bundle)
-            parts.append(np.hstack([out.gamma.data, out.nu.data,
-                                    out.alpha.data, out.beta.data]))
-    return np.vstack(parts)
+            heads.append(model_forward(inputs[start:start + EVAL_CHUNK], bundle)[1])
+    return NigOutput(*(ad.constant(np.vstack([getattr(h, name).data for h in heads]))
+                       for name in ("gamma", "nu", "alpha", "beta")))
 
 
 def evaluate(bundle: ModelBundle, dataset: LabeledSet,
@@ -157,15 +156,14 @@ def evaluate(bundle: ModelBundle, dataset: LabeledSet,
     """
     if len(dataset) == 0:
         raise ValueError("empty evaluation set")
-    out = _forward_chunks(bundle, dataset.inputs)
-    preds = out[:, 0]
-    p = NigOutput.from_values(out[:, 0], out[:, 1], out[:, 2], out[:, 3])
+    p = _forward_chunks(bundle, dataset.inputs)
+    preds = p.gamma.data
     al, ep = uncertainties(p)
     gap = None
     if reference_inputs is not None:
         ref = _forward_chunks(bundle, np.asarray(reference_inputs))
         with ad.no_grad():
-            gap = mmd2_biased(out[:, 1:4], ref[:, 1:4]).item()
+            gap = mmd2_biased(posterior_vector(p), posterior_vector(ref)).item()
     return MetricsReport(
         mae=mae(preds, dataset.labels),
         mse=mse(preds, dataset.labels),

@@ -1,8 +1,9 @@
 """Joint source/target training with uncertainty-guided alignment.
 
 Every iteration draws one labeled source and one unlabeled target
-minibatch (with replacement), forwards both through the shared extractor,
-and minimizes  supervised + lambda(p) * alignment  where p is training
+minibatch (with replacement), runs both through the shared extractor
+(the recurrent one in a single pass over the two stacked batches), and
+minimizes  supervised + lambda(p) * alignment  where p is training
 progress and lambda follows the saturating ramp 2/(1+exp(-10p)) - 1.  The
 supervised term is the evidential loss; the alignment term is the MMD
 between the two domains' augmented embeddings (uga_feature) or posterior
@@ -26,7 +27,7 @@ from .alignment import (
     posterior_vector,
 )
 from .data import LabeledSet
-from .evidential import evidential_loss
+from .evidential import NigOutput, evidential_loss
 from .models import ModelBundle, build_bundle, model_forward
 
 __all__ = [
@@ -162,23 +163,36 @@ def assemble_loss(src_batch: LabeledSet, tgt_batch: np.ndarray,
 
     tgt_batch holds target inputs only.  The supervised term sees source
     labels only; the alignment term pairs the two domains per cfg.alignment
-    and is scaled by lambda_schedule(p).
+    and is scaled by lambda_schedule(p).  The MLP extractor runs once per
+    domain, each with its own dropout stream.  The recurrent extractor has
+    no dropout, so with alignment on it runs once over the source rows
+    followed by the target rows, and its outputs are split back per domain.
     """
     if len(src_batch) == 0:
         raise ValueError("empty source batch")
-    if cfg.alignment is not AlignmentKind.NONE and len(tgt_batch) == 0:
+    aligned = cfg.alignment is not AlignmentKind.NONE
+    if aligned and len(tgt_batch) == 0:
         raise ValueError("empty target batch")
 
-    z_s, head_s = model_forward(src_batch.inputs, bundle,
-                                training=training, rng=src_rng)
+    stacked = aligned and bundle.extractor_kind == "seq"
+    if stacked:
+        n = len(src_batch)
+        z, head = model_forward(np.concatenate([src_batch.inputs, tgt_batch]),
+                                bundle)
+        (z_s, head_s), (z_t, head_t) = (_rows(z, head, 0, n),
+                                        _rows(z, head, n, z.shape[0]))
+    else:
+        z_s, head_s = model_forward(src_batch.inputs, bundle,
+                                    training=training, rng=src_rng)
     sup = evidential_loss(src_batch.labels, head_s, cfg.lambda_evi)
 
     lam = lambda_schedule(p)
-    if cfg.alignment is AlignmentKind.NONE:
+    if not aligned:
         return sup, sup.item(), 0.0
 
-    z_t, head_t = model_forward(tgt_batch, bundle,
-                                training=training, rng=tgt_rng)
+    if not stacked:
+        z_t, head_t = model_forward(tgt_batch, bundle,
+                                    training=training, rng=tgt_rng)
     if cfg.alignment is AlignmentKind.UGA_FEATURE:
         align = mmd2_biased(augmented_embedding(z_s, head_s, cfg.aug_weight),
                             augmented_embedding(z_t, head_t, cfg.aug_weight))
@@ -186,6 +200,13 @@ def assemble_loss(src_batch: LabeledSet, tgt_batch: np.ndarray,
         align = mmd2_biased(posterior_vector(head_s), posterior_vector(head_t))
     total = sup + lam * align
     return total, sup.item(), align.item()
+
+
+def _rows(z: ad.Tensor, head: NigOutput, start: int, stop: int):
+    """Rows [start:stop] of the features and of each NIG column."""
+    return ad.slice_rows(z, start, stop), NigOutput(
+        *(ad.slice_rows(t, start, stop)
+          for t in (head.gamma, head.nu, head.alpha, head.beta)))
 
 
 def _global_grad_norm(tensors) -> float:

@@ -56,6 +56,19 @@ class TestForwardPrimitives:
         s = ad.slice_last(t, 1, 3)
         np.testing.assert_array_equal(s.data, np.arange(12.0).reshape(3, 4)[:, 1:3])
 
+    def test_slice_rows(self):
+        t = ad.param(np.arange(12.0).reshape(3, 4))
+        s = ad.slice_rows(t, 1, 3)
+        np.testing.assert_array_equal(s.data, np.arange(12.0).reshape(3, 4)[1:3])
+        ad.backward(ad.sum(s * 2.0))
+        np.testing.assert_array_equal(t.grad, [[0.0] * 4, [2.0] * 4, [2.0] * 4])
+
+    @pytest.mark.parametrize("shape,start,stop", [
+        ((3, 4), -1, 2), ((3, 4), 2, 1), ((3, 4), 0, 4), ((), 0, 0)])
+    def test_slice_rows_rejects_bad_bounds(self, shape, start, stop):
+        with pytest.raises(ad.ShapeError):
+            ad.slice_rows(ad.constant(np.zeros(shape)), start, stop)
+
     def test_finite_outputs(self):
         rng = np.random.default_rng(3)
         x = ad.constant(rng.normal(scale=5.0, size=(4, 4)))

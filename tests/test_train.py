@@ -14,7 +14,7 @@ from uga import train as tr
 from uga.alignment import AlignmentKind
 from uga.data import LabeledSet, SyntheticShiftSpec, make_cubic_shift_pair
 from uga.evidential import evidential_loss
-from uga.models import MlpSpec, model_forward
+from uga.models import MlpSpec, SeqEncoderSpec, model_forward, seq_forward
 
 LAMBDA_HALF = 0.98661429815143
 LAMBDA_ONE = 0.999909204262595
@@ -25,6 +25,14 @@ def tiny_domains(n=64, shift=1.5, seed=0):
         SyntheticShiftSpec(n=n, seed=seed, noise_sd=0.05),
         SyntheticShiftSpec(n=n, seed=seed + 1, shift=shift, noise_sd=0.05))
     return src, tgt.unlabeled()
+
+
+def tiny_windows(n=12, seed=0):
+    """Source windows with labels in [0, 1] and shifted target windows, in
+    TestAssembleLoss.seq_spec's (window_len 6, input_dim 2) shape."""
+    rng = np.random.default_rng(seed)
+    src = LabeledSet(rng.normal(size=(n, 6, 2)), rng.uniform(size=n))
+    return src, rng.normal(loc=0.5, size=(n - 2, 6, 2))
 
 
 class TestLambdaSchedule:
@@ -162,6 +170,9 @@ class TestAssembleLoss:
     def spec(self):
         return MlpSpec(layer_widths=(1, 8, 4), dropout_p=0.0)
 
+    def seq_spec(self):
+        return SeqEncoderSpec(num_layers=2, hidden_dim=4, input_dim=2, window_len=6)
+
     def test_none_equals_supervised(self):
         src, tgt = tiny_domains()
         cfg = tr.TrainConfig(alignment=AlignmentKind.NONE, lambda_evi=1.0)
@@ -173,12 +184,37 @@ class TestAssembleLoss:
         assert align == 0.0
 
     def test_p_zero_is_supervised_only(self):
-        src, tgt = tiny_domains()
-        for kind in (AlignmentKind.UGA_FEATURE, AlignmentKind.UGA_POSTERIOR):
-            cfg = tr.TrainConfig(alignment=kind)
-            bundle = tr.build_bundle(self.spec(), seed=2)
-            loss, sup, _align = tr.assemble_loss(src, tgt, bundle, cfg, p=0.0)
-            assert loss.item() == sup
+        cases = [(self.spec(), *tiny_domains()), (self.seq_spec(), *tiny_windows())]
+        for spec, src, tgt in cases:
+            for kind in (AlignmentKind.UGA_FEATURE, AlignmentKind.UGA_POSTERIOR):
+                cfg = tr.TrainConfig(alignment=kind)
+                bundle = tr.build_bundle(spec, seed=2)
+                loss, sup, _align = tr.assemble_loss(src, tgt, bundle, cfg, p=0.0)
+                assert loss.item() == sup
+
+    def test_recurrent_alignment_is_one_lstm_pass(self, monkeypatch):
+        src, tgt = tiny_windows()
+        bundle = tr.build_bundle(self.seq_spec(), seed=6)
+        separate = [seq_forward(x, bundle).data for x in (src.inputs, tgt)]
+        lstm_calls, features = [], []
+        real_lstm, real_embed = ad.lstm, tr.augmented_embedding
+
+        def counting_lstm(x, layers):
+            lstm_calls.append(np.shape(x))
+            return real_lstm(x, layers)
+
+        def recording_embed(z, p, aug_weight):
+            features.append(z.data)
+            return real_embed(z, p, aug_weight)
+
+        monkeypatch.setattr(ad, "lstm", counting_lstm)
+        monkeypatch.setattr(tr, "augmented_embedding", recording_embed)
+        cfg = tr.TrainConfig(alignment=AlignmentKind.UGA_FEATURE)
+        loss, _sup, _align = tr.assemble_loss(src, tgt, bundle, cfg, p=0.5)
+        assert lstm_calls == [(len(src) + len(tgt), *src.inputs.shape[1:])]
+        assert [z.tobytes() for z in features] == [z.tobytes() for z in separate]
+        ad.backward(loss)
+        assert all(t.grad is not None for t in bundle.parameters())
 
     def test_posterior_alignment_zero_on_identical_batches(self):
         src, _ = tiny_domains()
@@ -295,7 +331,7 @@ save_checkpoint(bundle, sys.argv[1])
 """
 
 
-def _checkpoints_under_1_and_2_threads(script, tmp_path):
+def _checkpoints_under_1_and_2_threads(script, tmp_path, *args):
     src_dir = str(Path(uga.__file__).resolve().parents[1])
     blobs = []
     for threads in ("1", "2"):
@@ -304,7 +340,7 @@ def _checkpoints_under_1_and_2_threads(script, tmp_path):
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
         out = tmp_path / f"threads{threads}.bin"
-        subprocess.run([sys.executable, "-c", script, str(out)],
+        subprocess.run([sys.executable, "-c", script, str(out), *args],
                        env=env, check=True)
         blobs.append(out.read_bytes())
     return blobs
@@ -315,8 +351,9 @@ def test_feature_arm_bits_independent_of_blas_threads(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-# Two source-only iterations at the battery benchmark's LSTM shape (1 layer,
-# h=16, 100-step windows, batch 32), which runs on the fused `ad.lstm` op.
+# Two iterations at the battery benchmark's LSTM shape (1 layer, h=16,
+# 100-step windows, batch 32), which runs on the fused `ad.lstm` op: over 32
+# source rows, or with feature alignment over 64 stacked source and target rows.
 _BATTERY_THREAD_RUN = """
 import sys
 from uga.data import gen_battery_curves, windows_to_set
@@ -325,7 +362,7 @@ from uga.train import TrainConfig, train_uga
 
 src = windows_to_set(gen_battery_curves(-20.0, 1, seed=500, capacity_ah=0.2), 100, 5)
 tgt = windows_to_set(gen_battery_curves(25.0, 1, seed=700, capacity_ah=0.2), 100, 5)
-cfg = TrainConfig(alignment="none", iterations=2, batch_size=32, lr=3e-3, seed=0,
+cfg = TrainConfig(alignment=sys.argv[2], iterations=2, batch_size=32, lr=3e-3, seed=0,
                   lambda_evi=0.1, aug_weight=32.0, clip_norm=0.5)
 bundle, _ = train_uga(src, tgt.unlabeled(), cfg,
                       SeqEncoderSpec(num_layers=1, hidden_dim=16, input_dim=3,
@@ -334,6 +371,8 @@ save_checkpoint(bundle, sys.argv[1])
 """
 
 
-def test_battery_lstm_bits_independent_of_blas_threads(tmp_path):
-    blobs = _checkpoints_under_1_and_2_threads(_BATTERY_THREAD_RUN, tmp_path)
+@pytest.mark.parametrize("alignment", ["none", "uga_feature"])
+def test_battery_lstm_bits_independent_of_blas_threads(tmp_path, alignment):
+    blobs = _checkpoints_under_1_and_2_threads(_BATTERY_THREAD_RUN, tmp_path,
+                                               alignment)
     assert blobs[0] == blobs[1]
