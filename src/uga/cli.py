@@ -5,6 +5,7 @@ Subcommands: datagen | train | eval | gradcheck | report.  Exit codes:
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -125,6 +126,16 @@ def _make_dir(path: Path) -> None:
         raise UsageError(f"cannot create directory {path}: {e}") from None
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing path, such as a directory standing where
+    the file goes, is a usage error naming the path."""
+    try:
+        yield
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from None
+
+
 def _cmd_datagen(args) -> int:
     out = Path(args.out)
     if args.kind == "battery":
@@ -134,7 +145,8 @@ def _cmd_datagen(args) -> int:
         except ValueError as e:
             raise UsageError(f"bad datagen flags: {e}") from None
         _make_dir(out.parent)
-        write_battery_csv(series, out)
+        with _writing(out):
+            write_battery_csv(series, out)
         print(f"wrote {sum(len(s) for s in series)} rows to {out}")
         return 0
 
@@ -148,9 +160,10 @@ def _cmd_datagen(args) -> int:
     except ValueError as e:
         raise UsageError(f"bad datagen flags: {e}") from None
     _make_dir(out)
-    write_vector_csv(out / "source.csv", source.inputs, source.labels)
-    write_vector_csv(out / "target.csv", target.inputs, target.labels)
-    with open(out / "bounds.json", "w") as f:
+    for name, part in (("source.csv", source), ("target.csv", target)):
+        with _writing(out / name):
+            write_vector_csv(out / name, part.inputs, part.labels)
+    with _writing(out / "bounds.json"), open(out / "bounds.json", "w") as f:
         json.dump({"lo": bounds.lo, "hi": bounds.hi}, f)
         f.write("\n")
     print(f"wrote source.csv and target.csv ({args.n} rows each) to {out}")
@@ -205,14 +218,17 @@ def _cmd_train(args) -> int:
         return 1
     elapsed = time.monotonic() - started
 
-    save_checkpoint(bundle, out_dir / "checkpoint.bin")
-    _write_history_csv(out_dir / "history.csv", history)
+    with _writing(out_dir / "checkpoint.bin"):
+        save_checkpoint(bundle, out_dir / "checkpoint.bin")
+    with _writing(out_dir / "history.csv"):
+        _write_history_csv(out_dir / "history.csv", history)
     fingerprints = {"source": fingerprint_array(source.inputs),
                     "source_labels": fingerprint_array(source.labels)}
     if len(target):
         fingerprints["target"] = fingerprint_array(target)
-    write_manifest(out_dir / "manifest.json", json.loads(cfg.to_json()),
-                   cfg.seed, fingerprints, elapsed)
+    with _writing(out_dir / "manifest.json"):
+        write_manifest(out_dir / "manifest.json", json.loads(cfg.to_json()),
+                       cfg.seed, fingerprints, elapsed)
     print(f"trained {cfg.iterations} iterations "
           f"({cfg.alignment.value}); artifacts in {out_dir}")
     return 0
@@ -237,17 +253,20 @@ def _cmd_eval(args) -> int:
     report = evaluate(bundle, dataset, reference_inputs=reference)
     elapsed = time.monotonic() - started
 
-    write_metrics_csv(out, [MetricsRow(args.task, args.method, args.seed,
-                                       report)])
+    with _writing(out):
+        write_metrics_csv(out, [MetricsRow(args.task, args.method, args.seed,
+                                           report)])
     fingerprints = {"data": fingerprint_array(dataset.inputs),
                     "labels": fingerprint_array(dataset.labels),
                     "checkpoint": fingerprint_file(args.checkpoint)}
     if reference is not None:
         fingerprints["reference"] = fingerprint_array(reference)
-    write_manifest(out.with_suffix(".manifest.json"),
-                   {"checkpoint": str(args.checkpoint), "data": str(args.data),
-                    "task": args.task, "method": args.method},
-                   args.seed, fingerprints, elapsed, metrics_file=out.name)
+    manifest = out.with_suffix(".manifest.json")
+    with _writing(manifest):
+        write_manifest(manifest,
+                       {"checkpoint": str(args.checkpoint), "data": str(args.data),
+                        "task": args.task, "method": args.method},
+                       args.seed, fingerprints, elapsed, metrics_file=out.name)
     print(f"wrote {out} (task={args.task} method={args.method} "
           f"mae={report.mae:.6g})")
     return 0
@@ -283,7 +302,8 @@ def _cmd_report(args) -> int:
         raise UsageError(str(e)) from None
     out = Path(args.out)
     _make_dir(out.parent)
-    write_report_csv(out, header, table)
+    with _writing(out):
+        write_report_csv(out, header, table)
     print(f"wrote {out}: {len(table)} tasks x {len(header) - 1} methods")
     return 0
 

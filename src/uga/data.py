@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
+import itertools
 import math
 
 import numpy as np
@@ -57,6 +59,8 @@ _CYCLE_CURRENT_SCALE = {
 _MIN_CURRENT_A = 0.3
 # Most records one simulated cycle may take (about 400 MB of records).
 _MAX_RECORDS_PER_CYCLE = 1_000_000
+# Standard deviations of the V, I and T measurement noise.
+_NOISE_SD = (2e-3, 5e-3, 0.1)
 
 
 @dataclasses.dataclass
@@ -210,47 +214,85 @@ def gen_battery_curves(temp_c: float, n_cycles: int, seed: int,
             f"{_MAX_RECORDS_PER_CYCLE:,}")
     rng = np.random.default_rng(seed)
     resistance = 0.05 * (1.0 + 0.01 * (25.0 - temp_c))
+    return [_discharge(rng, CYCLE_TAGS[c % len(CYCLE_TAGS)], temp_c, q_as,
+                       resistance, hz)
+            for c in range(n_cycles)]
+
+
+def _discharge(rng, tag, temp_c, q_as, resistance, hz) -> list[BatteryRecord]:
+    """One cycle, built a constant-current segment at a time.
+
+    Draws the same random stream, and computes every value with the same
+    float operations in the same order, as stepping one record at a time:
+    each record takes one (V, I, T) noise row, in record order, and each
+    segment's current and length are drawn after the previous segment's
+    last record.  A segment whose length rounds to 0 never ends, so it
+    runs to the end of the cycle.
+    """
+    scale = _CYCLE_CURRENT_SCALE[tag]
     dt = 1.0 / hz
-    series_list = []
-    for c in range(n_cycles):
-        tag = CYCLE_TAGS[c % len(CYCLE_TAGS)]
-        scale = _CYCLE_CURRENT_SCALE[tag]
-        records = []
-        t = 0.0
-        drawn = 0.0
-        current = 0.0
-        segment_left = 0
-        k = 0
-        while True:
-            soc = max(0.0, 1.0 - drawn / q_as)
-            ocv = 3.0 + 1.2 * soc - 0.25 * math.exp(-8.0 * soc)
-            v = ocv - current * resistance + rng.normal(0.0, 2e-3)
-            i_meas = current + rng.normal(0.0, 5e-3)
-            t_meas = temp_c + rng.normal(0.0, 0.1)
-            records.append(BatteryRecord(t=t, v=v, i=i_meas, temp=t_meas,
-                                         soc=soc, cycle=tag))
-            if soc == 0.0:
-                break
-            if segment_left == 0:
-                current = float(np.clip(rng.uniform(0.5, 4.0) * scale,
-                                        _MIN_CURRENT_A, 6.0))
-                segment_left = int(rng.uniform(30.0, 120.0) * hz)
-            drawn += current * dt
-            segment_left -= 1
-            k += 1
-            t = k * dt
-        series_list.append(records)
-    return series_list
+    records: list[BatteryRecord] = []
+
+    def emit(k, drawn, current) -> bool:
+        """Records for steps k at cumulative charge drawn; stops at, and
+        includes, the first empty record.  True once the cycle is over."""
+        soc = np.maximum(0.0, 1.0 - drawn / q_as)
+        empty = np.flatnonzero(soc == 0.0)
+        if empty.size:
+            k, soc = k[:empty[0] + 1], soc[:empty[0] + 1]
+        noise = rng.normal(0.0, _NOISE_SD, size=(soc.size, 3))
+        # math.exp per record: numpy's exp may round differently.
+        sag = np.array([math.exp(x) for x in (-8.0 * soc).tolist()])
+        ocv = 3.0 + 1.2 * soc - 0.25 * sag
+        v = ocv - current * resistance + noise[:, 0]
+        records.extend(map(BatteryRecord, (k * dt).tolist(), v.tolist(),
+                           (current + noise[:, 1]).tolist(),
+                           (temp_c + noise[:, 2]).tolist(), soc.tolist(),
+                           itertools.repeat(tag)))
+        return bool(empty.size)
+
+    emit(np.zeros(1, dtype=np.int64), np.zeros(1), 0.0)
+    k, drawn = 0, 0.0
+    while True:
+        current = float(np.clip(rng.uniform(0.5, 4.0) * scale,
+                                _MIN_CURRENT_A, 6.0))
+        # A length that rounds to 0 never counts down to 0 again, so that
+        # segment runs to the end of the cycle.
+        segment_left = int(rng.uniform(30.0, 120.0) * hz) or math.inf
+        step = current * dt
+        while segment_left:
+            # Enough steps to empty the cell, give or take rounding; a
+            # chunk that falls short is followed by another.
+            n = min(int((q_as - drawn) / step) + 2, segment_left)
+            # cumsum adds left to right, as `drawn += step` does.
+            charge = np.cumsum(np.concatenate(([drawn], np.full(n, step))))[1:]
+            if emit(np.arange(k + 1, k + n + 1), charge, current):
+                return records
+            k, drawn = k + n, float(charge[-1])
+            segment_left -= n
 
 
 def write_battery_csv(series_list, path) -> None:
+    """Write records in the canonical schema, floats by repr().
+
+    Each row is built as one string; each distinct cycle tag goes through
+    csv.writer once, so a tag that needs quoting is written as csv.writer
+    writes it.
+    """
+    tails: dict = {}
+    buf = io.StringIO()
+    tag_writer = csv.writer(buf)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
+        csv.writer(f).writerow(CSV_COLUMNS)
         for series in series_list:
-            for r in series:
-                writer.writerow([repr(r.t), repr(r.v), repr(r.i),
-                                 repr(r.temp), repr(r.soc), r.cycle])
+            for tag in {r.cycle for r in series} - tails.keys():
+                buf.seek(0)
+                buf.truncate()
+                # As the last of several fields, so an empty tag stays empty.
+                tag_writer.writerow(("", tag))
+                tails[tag] = buf.getvalue()[1:]
+            f.write("".join([f"{r.t!r},{r.v!r},{r.i!r},{r.temp!r},{r.soc!r},"
+                             f"{tails[r.cycle]}" for r in series]))
 
 
 def write_vector_csv(path, inputs, labels=None) -> None:

@@ -252,10 +252,16 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
     blob = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
                     for t in bundle.parameters())
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(header)
-        f.write(blob)
-    os.replace(tmp, path)
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(header)
+            f.write(blob)
+        os.replace(tmp, path)
+    except OSError:
+        # A failed write or rename leaves no temp file behind.
+        os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> ModelBundle:

@@ -373,11 +373,28 @@ class TestReport:
 # output file.  Each row builds an argv from (tmp_path, cubic data dir, a
 # regular file); `blocker` stands where a directory is needed.  `{tmp}` in a
 # message stands for tmp_path.
-def _eval_argv(tmp, data, blocker):
+def _eval_argv(tmp, data, blocker, out=None):
     run = run_train(tmp, data)
+    out = blocker / "m.csv" if out is None else out
     return ["eval", "--checkpoint", str(run / "checkpoint.bin"),
-            "--data", str(data / "target.csv"), "--out", str(blocker / "m.csv"),
+            "--data", str(data / "target.csv"), "--out", str(out),
             "--task", "t", "--method", "m"]
+
+
+def _report_into_dir(tmp, data, blocker):
+    metrics = tmp / "m.csv"
+    assert cli.main(_eval_argv(tmp, data, blocker, out=metrics)) == 0
+    return ["report", str(metrics), "--out", str(tmp)]
+
+
+def _train_over_checkpoint_dir(tmp, data, blocker):
+    (tmp / "run" / "checkpoint.bin").mkdir(parents=True)
+    return _train_argv(tmp, data, tmp / "run")
+
+
+def _datagen_over_source_dir(tmp, data, blocker):
+    (tmp / "d" / "source.csv").mkdir(parents=True)
+    return _datagen_argv(tmp, "cubic", "--n", "10")
 
 
 def _train_argv(tmp, data, out_dir, config=None):
@@ -471,6 +488,17 @@ _EXIT_2_PROBES = [
      _wide_target_argv),
     ("gradcheck_negative_seed", "--seed must be >= 0",
      lambda tmp, data, blocker: ["gradcheck", "--seed", "-1"]),
+    # A directory standing where an output file goes.
+    ("datagen_battery_out_is_dir", "cannot write {tmp}: ",
+     lambda tmp, data, blocker: ["datagen", "--kind", "battery", "--out", str(tmp),
+                                 "--cycles", "1", "--capacity-ah", "0.05"]),
+    ("datagen_cubic_source_is_dir", "cannot write {tmp}/d/source.csv: ",
+     _datagen_over_source_dir),
+    ("eval_out_is_dir", "cannot write {tmp}: ",
+     lambda tmp, data, blocker: _eval_argv(tmp, data, blocker, out=tmp)),
+    ("report_out_is_dir", "cannot write {tmp}: ", _report_into_dir),
+    ("train_checkpoint_is_dir", "cannot write {tmp}/run/checkpoint.bin: ",
+     _train_over_checkpoint_dir),
 ]
 
 

@@ -1,8 +1,13 @@
+import csv
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uga import data as uga_data
 from uga.data import (
     CYCLE_TAGS,
     BatteryRecord,
@@ -153,6 +158,108 @@ class TestBatterySimulator:
         a = gen_battery_curves(0.0, 2, seed=11, capacity_ah=0.02)
         b = gen_battery_curves(0.0, 2, seed=11, capacity_ah=0.02)
         assert a == b
+
+
+def reference_battery_curves(temp_c, n_cycles, seed, capacity_ah=0.5, hz=10.0,
+                             lengths=None):
+    """gen_battery_curves stepped one record at a time, with scalar draws:
+    the simulator's bit-identity reference.  Appends each drawn segment
+    length to `lengths` when given."""
+    q_as = uga_data._capacity_as(temp_c, capacity_ah)
+    rng = np.random.default_rng(seed)
+    resistance = 0.05 * (1.0 + 0.01 * (25.0 - temp_c))
+    dt = 1.0 / hz
+    series_list = []
+    for c in range(n_cycles):
+        tag = CYCLE_TAGS[c % len(CYCLE_TAGS)]
+        scale = uga_data._CYCLE_CURRENT_SCALE[tag]
+        records = []
+        t = 0.0
+        drawn = 0.0
+        current = 0.0
+        segment_left = 0
+        k = 0
+        while True:
+            soc = max(0.0, 1.0 - drawn / q_as)
+            ocv = 3.0 + 1.2 * soc - 0.25 * math.exp(-8.0 * soc)
+            v = ocv - current * resistance + rng.normal(0.0, 2e-3)
+            i_meas = current + rng.normal(0.0, 5e-3)
+            t_meas = temp_c + rng.normal(0.0, 0.1)
+            records.append(BatteryRecord(t=t, v=v, i=i_meas, temp=t_meas,
+                                         soc=soc, cycle=tag))
+            if soc == 0.0:
+                break
+            if segment_left == 0:
+                current = float(np.clip(rng.uniform(0.5, 4.0) * scale,
+                                        uga_data._MIN_CURRENT_A, 6.0))
+                segment_left = int(rng.uniform(30.0, 120.0) * hz)
+                if lengths is not None:
+                    lengths.append(segment_left)
+            drawn += current * dt
+            segment_left -= 1
+            k += 1
+            t = k * dt
+        series_list.append(records)
+    return series_list
+
+
+# Every temperature x capacity x rate, three seeds each; n_cycles runs
+# through 1..7 so the tags wrap.  At 0.02 Hz a segment length often rounds
+# to 0, and that segment then runs to the end of its cycle.
+_SIM_GRID = [(temp, cap, hz, seed, 1 + k % 7) for k, (temp, cap, hz, seed) in
+             enumerate(itertools.product((-20.0, 0.0, 25.0, 40.0),
+                                         (0.02, 0.2, 0.5), (10.0, 3.3, 1.0, 0.02),
+                                         (0, 1, 2)))]
+
+
+class TestSimulatorMatchesReference:
+    @pytest.mark.parametrize("temp,cap,hz", sorted({g[:3] for g in _SIM_GRID}))
+    def test_records_equal_reference(self, temp, cap, hz):
+        for _, _, _, seed, n_cycles in (g for g in _SIM_GRID
+                                        if g[:3] == (temp, cap, hz)):
+            got = gen_battery_curves(temp, n_cycles, seed, capacity_ah=cap, hz=hz)
+            assert got == reference_battery_curves(temp, n_cycles, seed,
+                                                   capacity_ah=cap, hz=hz)
+
+    def test_grid_reaches_zero_length_segments(self):
+        lengths = []
+        for temp, cap, hz, seed, n_cycles in _SIM_GRID:
+            if hz == 0.02:
+                reference_battery_curves(temp, n_cycles, seed, capacity_ah=cap,
+                                         hz=hz, lengths=lengths)
+        assert 0 in lengths
+        assert {g[4] for g in _SIM_GRID} == set(range(1, 8))
+
+
+def reference_battery_csv(series_list, path):
+    """write_battery_csv as one csv.writer row per record."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(uga_data.CSV_COLUMNS)
+        for series in series_list:
+            for r in series:
+                writer.writerow([repr(r.t), repr(r.v), repr(r.i),
+                                 repr(r.temp), repr(r.soc), r.cycle])
+
+
+class TestBatteryWriter:
+    def test_simulated_pack_bytes_match_reference(self, tmp_path):
+        series_list = gen_battery_curves(-20.0, 7, seed=3, capacity_ah=0.05)
+        write_battery_csv(series_list, tmp_path / "fast.csv")
+        reference_battery_csv(series_list, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_quoted_tags_match_reference_and_round_trip(self, tmp_path):
+        tags = ["a,b", 'say "hi"', "x\ny", "US06"]
+        series_list = [fake_series(30, tag=tag) for tag in tags]
+        write_battery_csv(series_list, tmp_path / "fast.csv")
+        reference_battery_csv(series_list, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+        ingested = ingest_battery_csv(tmp_path / "fast.csv")
+        assert [s[0].cycle for s in ingested] == tags
+        assert ingested == series_list
 
 
 class TestIngestion:

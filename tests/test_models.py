@@ -227,6 +227,14 @@ class TestCheckpoint:
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
 
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        bundle = build_bundle(MlpSpec(layer_widths=(3, 6, 4)), seed=21)
+        path = tmp_path / "checkpoint.bin"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_checkpoint(bundle, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
     def test_round_trip_seq(self, tmp_path):
         spec = SeqEncoderSpec(num_layers=2, hidden_dim=4, input_dim=3,
                               window_len=6)
