@@ -97,7 +97,7 @@ def _read_vectors(path):
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
     except ValueError as e:
-        raise UsageError(f"{path}: {e}") from None
+        raise UsageError(str(e)) from None
 
 
 def _load_labeled(path) -> LabeledSet:
@@ -213,7 +213,7 @@ def _cmd_train(args) -> int:
         # warnings on the way there would only bury that one line.
         with np.errstate(all="ignore"):
             bundle, history = train_uga(source, target, cfg, spec)
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError, MemoryError) as e:
         print(f"training failed: {e}", file=sys.stderr)
         return 1
     elapsed = time.monotonic() - started
@@ -295,7 +295,7 @@ def _cmd_report(args) -> int:
         except OSError as e:
             raise UsageError(f"cannot read {path}: {e}") from None
         except ValueError as e:
-            raise UsageError(f"{path}: {e}") from None
+            raise UsageError(str(e)) from None
     try:
         header, table = build_report_table(rows, metric=args.metric)
     except ValueError as e:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import itertools
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "LabeledSet",
-    "BatteryRecord",
     "SyntheticShiftSpec",
     "LabelBounds",
     "CYCLE_TAGS",
@@ -39,6 +37,8 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("time_s", "voltage_v", "current_a", "temp_c", "soc", "cycle")
+# A battery series is one cycle as a numpy record array of these fields.
+SERIES_FIELDS = ("t", "v", "i", "temp", "soc", "cycle")
 
 CYCLE_TAGS = ("US06", "HWFET", "UDDS", "LA92", "NN", "Mixed")
 
@@ -83,16 +83,6 @@ class LabeledSet:
     def unlabeled(self) -> np.ndarray:
         """The inputs alone, as train_uga takes a target domain."""
         return self.inputs
-
-
-@dataclasses.dataclass(frozen=True)
-class BatteryRecord:
-    t: float
-    v: float
-    i: float
-    temp: float
-    soc: float
-    cycle: str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,10 +175,17 @@ def _capacity_as(temp_c: float, capacity_ah: float) -> float:
     return capacity_ah * 3600.0 * factor
 
 
+def _series(columns, tag: str) -> np.recarray:
+    """One cycle: the five float columns, with tag in every record."""
+    return np.rec.fromarrays([*columns, np.full(len(columns[0]), tag)],
+                             names=SERIES_FIELDS)
+
+
 def gen_battery_curves(temp_c: float, n_cycles: int, seed: int,
                        capacity_ah: float = 0.5, hz: float = 10.0,
-                       ) -> list[list[BatteryRecord]]:
-    """Simulate full discharges at one ambient temperature.
+                       ) -> list[np.recarray]:
+    """Simulate full discharges at one ambient temperature, one record
+    array (see SERIES_FIELDS) per cycle.
 
     Each cycle draws a piecewise-constant random current profile whose
     magnitude follows the tag's aggressiveness; soc falls monotonically
@@ -219,7 +216,7 @@ def gen_battery_curves(temp_c: float, n_cycles: int, seed: int,
             for c in range(n_cycles)]
 
 
-def _discharge(rng, tag, temp_c, q_as, resistance, hz) -> list[BatteryRecord]:
+def _discharge(rng, tag, temp_c, q_as, resistance, hz) -> np.recarray:
     """One cycle, built a constant-current segment at a time.
 
     Draws the same random stream, and computes every value with the same
@@ -231,7 +228,7 @@ def _discharge(rng, tag, temp_c, q_as, resistance, hz) -> list[BatteryRecord]:
     """
     scale = _CYCLE_CURRENT_SCALE[tag]
     dt = 1.0 / hz
-    records: list[BatteryRecord] = []
+    chunks = []
 
     def emit(k, drawn, current) -> bool:
         """Records for steps k at cumulative charge drawn; stops at, and
@@ -244,11 +241,8 @@ def _discharge(rng, tag, temp_c, q_as, resistance, hz) -> list[BatteryRecord]:
         # math.exp per record: numpy's exp may round differently.
         sag = np.array([math.exp(x) for x in (-8.0 * soc).tolist()])
         ocv = 3.0 + 1.2 * soc - 0.25 * sag
-        v = ocv - current * resistance + noise[:, 0]
-        records.extend(map(BatteryRecord, (k * dt).tolist(), v.tolist(),
-                           (current + noise[:, 1]).tolist(),
-                           (temp_c + noise[:, 2]).tolist(), soc.tolist(),
-                           itertools.repeat(tag)))
+        chunks.append((k * dt, ocv - current * resistance + noise[:, 0],
+                       current + noise[:, 1], temp_c + noise[:, 2], soc))
         return bool(empty.size)
 
     emit(np.zeros(1, dtype=np.int64), np.zeros(1), 0.0)
@@ -267,55 +261,48 @@ def _discharge(rng, tag, temp_c, q_as, resistance, hz) -> list[BatteryRecord]:
             # cumsum adds left to right, as `drawn += step` does.
             charge = np.cumsum(np.concatenate(([drawn], np.full(n, step))))[1:]
             if emit(np.arange(k + 1, k + n + 1), charge, current):
-                return records
+                return _series([np.concatenate(c) for c in zip(*chunks)], tag)
             k, drawn = k + n, float(charge[-1])
             segment_left -= n
 
 
 def write_battery_csv(series_list, path) -> None:
-    """Write records in the canonical schema, floats by repr().
+    """Write record arrays in the canonical schema, floats by repr().
 
     Each row is built as one string; each distinct cycle tag goes through
     csv.writer once, so a tag that needs quoting is written as csv.writer
     writes it.
     """
     tails: dict = {}
-    buf = io.StringIO()
-    tag_writer = csv.writer(buf)
     with open(path, "w", newline="") as f:
         csv.writer(f).writerow(CSV_COLUMNS)
         for series in series_list:
-            for tag in {r.cycle for r in series} - tails.keys():
-                buf.seek(0)
-                buf.truncate()
-                # As the last of several fields, so an empty tag stays empty.
-                tag_writer.writerow(("", tag))
+            columns = [series[name].tolist() for name in SERIES_FIELDS]
+            for tag in set(columns[5]) - tails.keys():
+                buf = io.StringIO()
+                # As the last of two fields, so an empty tag stays empty.
+                csv.writer(buf).writerow(("", tag))
                 tails[tag] = buf.getvalue()[1:]
-            f.write("".join([f"{r.t!r},{r.v!r},{r.i!r},{r.temp!r},{r.soc!r},"
-                             f"{tails[r.cycle]}" for r in series]))
+            f.write("".join([f"{t!r},{v!r},{i!r},{temp!r},{soc!r},{tails[tag]}"
+                             for t, v, i, temp, soc, tag in zip(*columns)]))
 
 
 def write_vector_csv(path, inputs, labels=None) -> None:
     """Write a flat feature table: columns x0..x{d-1}, plus y when labels
     are given.  Floats use repr() so files round-trip exactly."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2:
+    table = np.asarray(inputs, dtype=float)
+    if table.ndim != 2:
         raise ValueError("inputs must be 2-D (samples, features)")
+    header = [f"x{j}" for j in range(table.shape[1])]
     if labels is not None:
         labels = np.asarray(labels, dtype=float).ravel()
-        if len(labels) != len(inputs):
+        if len(labels) != len(table):
             raise ValueError("labels length does not match inputs")
-    header = [f"x{j}" for j in range(inputs.shape[1])]
-    if labels is not None:
-        header.append("y")
+        table, header = np.column_stack((table, labels)), header + ["y"]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        for k, row in enumerate(inputs):
-            out = [repr(float(v)) for v in row]
-            if labels is not None:
-                out.append(repr(float(labels[k])))
-            writer.writerow(out)
+        writer.writerows([[repr(v) for v in row] for row in table.tolist()])
 
 
 def read_vector_csv(path):
@@ -325,14 +312,14 @@ def read_vector_csv(path):
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError("vector CSV is empty") from None
+            raise ValueError(f"{path}: vector CSV is empty") from None
         has_label = bool(header) and header[-1] == "y"
         feat = header[:-1] if has_label else header
         if feat != [f"x{j}" for j in range(len(feat))]:
-            raise ValueError(f"unexpected vector CSV header {header!r}")
+            raise ValueError(f"{path}: unexpected vector CSV header {header!r}")
         if not feat:
-            raise ValueError("vector CSV has no feature columns")
-        inputs, labels = [], []
+            raise ValueError(f"{path}: vector CSV has no feature columns")
+        rows = []
         for k, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {k}: expected {len(header)} fields")
@@ -342,22 +329,20 @@ def read_vector_csv(path):
                 raise ValueError(f"{path}: row {k}: non-numeric field") from None
             if not all(map(math.isfinite, vals)):
                 raise ValueError(f"{path}: row {k}: non-finite field")
-            if has_label:
-                inputs.append(vals[:-1])
-                labels.append(vals[-1])
-            else:
-                inputs.append(vals)
-    if not inputs:
-        raise ValueError("vector CSV has no data rows")
-    x = np.asarray(inputs, dtype=float)
-    return (x, np.asarray(labels, dtype=float)) if has_label else (x, None)
+            rows.append(vals)
+    if not rows:
+        raise ValueError(f"{path}: vector CSV has no data rows")
+    table = np.array(rows)
+    if not has_label:
+        return table, None
+    return table[:, :-1].copy(), table[:, -1].copy()
 
 
-def ingest_battery_csv(path) -> list[list[BatteryRecord]]:
+def ingest_battery_csv(path) -> list[np.recarray]:
     """Read the canonical schema, group rows into contiguous per-cycle
     series, and downsample each series to 1 Hz (first sample per
-    1-second bucket).  Every row is checked; records are built only for
-    the rows the downsampling keeps."""
+    1-second bucket).  Every row is checked; each series is one record
+    array (see SERIES_FIELDS) of the rows the downsampling keeps."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         # The last of repeated names wins, as in csv.DictReader.
@@ -367,33 +352,34 @@ def ingest_battery_csv(path) -> list[list[BatteryRecord]]:
                 raise ValueError(f"{path}: battery CSV is missing column {col!r}")
         cols = [position[col] for col in CSV_COLUMNS]
         width = max(cols) + 1
-        series_list: list[list[BatteryRecord]] = []
+        blocks: list[tuple[str, list]] = []
         tag = last_t = None
         # filter(None, ...) skips blank lines, which are not data rows.
         for row_no, row in enumerate(filter(None, reader), start=2):
             try:
                 if len(row) < width:
                     raise ValueError(f"{len(row)} fields, the header names {width}")
-                t, v, i, temp, soc = (float(row[k]) for k in cols[:5])
+                t, *_, soc = values = [float(row[k]) for k in cols[:5]]
             except ValueError as e:
                 raise ValueError(f"{path}: bad battery CSV row {row_no}: {e}") from None
-            if not all(map(math.isfinite, (t, v, i, temp, soc))):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}: non-finite value in battery CSV row {row_no}")
             if not 0.0 <= soc <= 1.0:
                 raise ValueError(f"{path}: soc {soc} outside [0, 1] at row {row_no}")
             cycle = row[cols[5]]
             if cycle != tag:
-                tag, block = cycle, []
-                series_list.append(block)
+                if "\x00" in cycle:  # numpy's str dtype drops trailing NULs
+                    raise ValueError(f"{path}: NUL in cycle tag at row {row_no}")
+                tag, kept = cycle, []
+                blocks.append((tag, kept))
             elif t <= last_t:
                 raise ValueError(
                     f"{path}: non-monotone time within cycle {cycle!r} "
                     f"at row {row_no}")
             last_t = t
-            if not block or math.floor(t) != math.floor(block[-1].t):
-                block.append(BatteryRecord(t=t, v=v, i=i, temp=temp, soc=soc,
-                                           cycle=cycle))
-    return series_list
+            if not kept or math.floor(t) != math.floor(kept[-1][0]):
+                kept.append(values)
+    return [_series(np.array(kept).T, tag) for tag, kept in blocks]
 
 
 def windows_to_set(series_list, length: int = 100, stride: int = 1) -> LabeledSet:
@@ -406,12 +392,11 @@ def windows_to_set(series_list, length: int = 100, stride: int = 1) -> LabeledSe
     for series in series_list:
         if len(series) < length:
             continue
-        feats = np.array([[r.v, r.i, r.temp] for r in series])
-        socs = np.array([r.soc for r in series])
+        feats = np.column_stack((series.v, series.i, series.temp))
         # (n - length + 1, 3, length) view -> (windows, length, 3)
         views.append(sliding_window_view(feats, length, axis=0)
                      .transpose(0, 2, 1)[::stride])
-        labels.append(socs[length - 1::stride])
+        labels.append(series.soc[length - 1::stride])
     if not views:
         raise ValueError("no series long enough to window")
     return LabeledSet(np.concatenate(views), np.concatenate(labels))
@@ -425,7 +410,7 @@ def split_by_cycle(series_list, dataset_tag: str):
     test_tags = TEST_CYCLES[dataset_tag]
     train, test = [], []
     for series in series_list:
-        tag = series[0].cycle
+        tag = str(series[0].cycle)
         if tag not in CYCLE_TAGS:
             raise ValueError(f"unknown cycle tag {tag!r}")
         (test if tag in test_tags else train).append(series)

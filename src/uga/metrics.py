@@ -199,12 +199,25 @@ def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
 
 
 def read_metrics_csv(path) -> list[dict]:
+    """Rows as dicts of strings.  Each row must have the header's field
+    count and each metric cell must be empty or a finite number; errors
+    name the file and the row."""
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        header = tuple(reader.fieldnames or ())
+        reader = csv.reader(f)
+        header = tuple(next(reader, ()))
         if header != METRICS_COLUMNS:
-            raise ValueError(f"unexpected metrics header {header}")
-        return list(reader)
+            raise ValueError(f"{path}: unexpected metrics header {header}")
+        # Blank lines are not data rows, but they count in row numbers.
+        numbered = [(k, row) for k, row in enumerate(reader, start=2) if row]
+    for row_no, row in numbered:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, the header names {len(header)}")
+            if not np.all(np.isfinite([float(cell) for cell in row[3:] if cell])):
+                raise ValueError("non-finite metric")
+        except ValueError as e:
+            raise ValueError(f"{path}: bad metrics row {row_no}: {e}") from None
+    return [dict(zip(header, row)) for _, row in numbered]
 
 
 def build_report_table(metric_dicts: list[dict], metric: str = "mae"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uga import cli
 from uga.data import ingest_battery_csv, read_vector_csv
 from uga.gradcheck import CheckResult
-from uga.metrics import read_metrics_csv
+from uga.metrics import METRICS_COLUMNS, read_metrics_csv
 
 
 @pytest.fixture()
@@ -155,6 +155,21 @@ class TestTrain:
         assert proc.returncode == 1
         assert proc.stderr.startswith("training failed:")
         assert proc.stderr.count("\n") == 1
+
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, tiny_data,
+                                                 monkeypatch, capsys):
+        # Stands in for the allocation a huge batch_size asks for; making it
+        # for real could fill RAM on a host that overcommits memory.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setattr(cli, "train_uga", out_of_memory)
+        cfg = write_config(tmp_path / "cfg.json", batch_size=100_000_000_000)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg),
+                         "--source", str(tiny_data / "source.csv"),
+                         "--out-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == \
+            "training failed: Unable to allocate 745. GiB for an array\n"
 
     def test_bad_hidden_flag(self, tmp_path, tiny_data, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -411,6 +426,32 @@ def _wide_target_argv(tmp, data, blocker):
         "--target", str(tmp / "wide.csv")]
 
 
+def _report_on_row(row):
+    """A report over one metrics file whose only data row is `row`."""
+    def build(tmp, data, blocker):
+        metrics = tmp / "m.csv"
+        metrics.write_text(",".join(METRICS_COLUMNS) + "\n" + row + "\n")
+        return ["report", str(metrics), "--metric", "r2", "--out", str(tmp / "r.csv")]
+    return build
+
+
+def _train_on_source(text):
+    """`uga train` with a source CSV holding `text`."""
+    def build(tmp, data, blocker):
+        (tmp / "bad.csv").write_text(text)
+        return ["train", "--config", str(write_config(tmp / "cfg.json")),
+                "--source", str(tmp / "bad.csv"), "--out-dir", str(tmp / "run")]
+    return build
+
+
+def _eval_on_empty_data(tmp, data, blocker):
+    (tmp / "empty.csv").write_text("")
+    run = run_train(tmp, data)
+    return ["eval", "--checkpoint", str(run / "checkpoint.bin"),
+            "--data", str(tmp / "empty.csv"), "--out", str(tmp / "m.csv"),
+            "--task", "t", "--method", "m"]
+
+
 def _datagen_argv(tmp, kind, *flags):
     out = tmp / ("b.csv" if kind == "battery" else "d")
     return ["datagen", "--kind", kind, "--out", str(out), *flags]
@@ -499,6 +540,21 @@ _EXIT_2_PROBES = [
     ("report_out_is_dir", "cannot write {tmp}: ", _report_into_dir),
     ("train_checkpoint_is_dir", "cannot write {tmp}/run/checkpoint.bin: ",
      _train_over_checkpoint_dir),
+    # Metrics rows are checked where they are read.
+    ("report_short_row", "{tmp}/m.csv: bad metrics row 2: 4 fields, the header names 8",
+     _report_on_row("t,m,0,1")),
+    ("report_extra_field", "{tmp}/m.csv: bad metrics row 2: 9 fields",
+     _report_on_row("t,m,0,0.1,,,,,x")),
+    ("report_non_numeric_metric", "{tmp}/m.csv: bad metrics row 2: could not convert",
+     _report_on_row("t,m,0,abc,,,,")),
+    ("report_nan_mae", "{tmp}/m.csv: bad metrics row 2: non-finite metric",
+     _report_on_row("t,m,0,nan,,,,")),
+    # A vector CSV's errors name its path once.
+    ("train_source_non_numeric", "{tmp}/bad.csv: row 3: non-numeric field\n",
+     _train_on_source("x0,y\n0.0,0.5\n1.0,oops\n")),
+    ("train_source_bad_header", "{tmp}/bad.csv: unexpected vector CSV header",
+     _train_on_source("a,y\n0.0,0.5\n")),
+    ("eval_data_empty", "{tmp}/empty.csv: vector CSV is empty\n", _eval_on_empty_data),
 ]
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from uga import data as uga_data
 from uga.data import (
     CYCLE_TAGS,
-    BatteryRecord,
     LabeledSet,
     SyntheticShiftSpec,
     gen_battery_curves,
@@ -28,9 +27,14 @@ from uga.data import (
 
 def fake_series(n, tag="UDDS", hz=1.0):
     rng = np.random.default_rng(0)
-    return [BatteryRecord(t=i / hz, v=3.5 + rng.normal(0, 0.01), i=1.0,
-                          temp=25.0, soc=1.0 - i / max(n, 1), cycle=tag)
-            for i in range(n)]
+    k = np.arange(n)
+    return uga_data._series((k / hz, 3.5 + rng.normal(0, 0.01, size=n),
+                             np.ones(n), np.full(n, 25.0), 1.0 - k / max(n, 1)),
+                            tag)
+
+
+def as_tuples(series_list):
+    return [series.tolist() for series in series_list]
 
 
 class TestCubicGenerator:
@@ -127,7 +131,7 @@ class TestBatterySimulator:
     def test_soc_endpoints_and_monotonicity(self):
         for series in gen_battery_curves(25.0, n_cycles=2, seed=4,
                                          capacity_ah=0.05):
-            socs = np.array([r.soc for r in series])
+            socs = series.soc
             assert socs[0] == 1.0
             assert socs[-1] == 0.0
             assert np.all(np.diff(socs) <= 0)
@@ -143,7 +147,7 @@ class TestBatterySimulator:
         warm = gen_battery_curves(25.0, 1, seed=8, capacity_ah=0.05)[0]
         n = min(len(cold), len(warm))
         # identical current draws over the shared prefix, colder resistance
-        assert np.mean([r.v for r in cold[1:n]]) < np.mean([r.v for r in warm[1:n]])
+        assert np.mean(cold.v[1:n]) < np.mean(warm.v[1:n])
 
     def test_tags_cycle_through_vocabulary(self):
         series_list = gen_battery_curves(25.0, 6, seed=1, capacity_ah=0.02)
@@ -151,20 +155,20 @@ class TestBatterySimulator:
 
     def test_time_strictly_increasing(self):
         series = gen_battery_curves(25.0, 1, seed=2, capacity_ah=0.02)[0]
-        ts = np.array([r.t for r in series])
-        assert np.all(np.diff(ts) > 0)
+        assert np.all(np.diff(series.t) > 0)
 
     def test_seed_determinism(self):
         a = gen_battery_curves(0.0, 2, seed=11, capacity_ah=0.02)
         b = gen_battery_curves(0.0, 2, seed=11, capacity_ah=0.02)
-        assert a == b
+        assert as_tuples(a) == as_tuples(b)
 
 
 def reference_battery_curves(temp_c, n_cycles, seed, capacity_ah=0.5, hz=10.0,
                              lengths=None):
     """gen_battery_curves stepped one record at a time, with scalar draws:
-    the simulator's bit-identity reference.  Appends each drawn segment
-    length to `lengths` when given."""
+    the simulator's bit-identity reference, each cycle a list of
+    (t, v, i, temp, soc, cycle) tuples.  Appends each drawn segment length
+    to `lengths` when given."""
     q_as = uga_data._capacity_as(temp_c, capacity_ah)
     rng = np.random.default_rng(seed)
     resistance = 0.05 * (1.0 + 0.01 * (25.0 - temp_c))
@@ -185,8 +189,7 @@ def reference_battery_curves(temp_c, n_cycles, seed, capacity_ah=0.5, hz=10.0,
             v = ocv - current * resistance + rng.normal(0.0, 2e-3)
             i_meas = current + rng.normal(0.0, 5e-3)
             t_meas = temp_c + rng.normal(0.0, 0.1)
-            records.append(BatteryRecord(t=t, v=v, i=i_meas, temp=t_meas,
-                                         soc=soc, cycle=tag))
+            records.append((t, v, i_meas, t_meas, soc, tag))
             if soc == 0.0:
                 break
             if segment_left == 0:
@@ -218,8 +221,8 @@ class TestSimulatorMatchesReference:
         for _, _, _, seed, n_cycles in (g for g in _SIM_GRID
                                         if g[:3] == (temp, cap, hz)):
             got = gen_battery_curves(temp, n_cycles, seed, capacity_ah=cap, hz=hz)
-            assert got == reference_battery_curves(temp, n_cycles, seed,
-                                                   capacity_ah=cap, hz=hz)
+            assert as_tuples(got) == reference_battery_curves(
+                temp, n_cycles, seed, capacity_ah=cap, hz=hz)
 
     def test_grid_reaches_zero_length_segments(self):
         lengths = []
@@ -237,9 +240,9 @@ def reference_battery_csv(series_list, path):
         writer = csv.writer(f)
         writer.writerow(uga_data.CSV_COLUMNS)
         for series in series_list:
-            for r in series:
-                writer.writerow([repr(r.t), repr(r.v), repr(r.i),
-                                 repr(r.temp), repr(r.soc), r.cycle])
+            for t, v, i, temp, soc, cycle in series.tolist():
+                writer.writerow([repr(t), repr(v), repr(i), repr(temp),
+                                 repr(soc), cycle])
 
 
 class TestBatteryWriter:
@@ -259,7 +262,35 @@ class TestBatteryWriter:
             (tmp_path / "ref.csv").read_bytes()
         ingested = ingest_battery_csv(tmp_path / "fast.csv")
         assert [s[0].cycle for s in ingested] == tags
-        assert ingested == series_list
+        assert as_tuples(ingested) == as_tuples(series_list)
+
+
+class TestSeriesContract:
+    """What callers read from a series list: its length, the total record
+    count, records with a float .t in time order, and series[0].cycle as
+    the cycle's tag."""
+
+    TAGS = [*CYCLE_TAGS, CYCLE_TAGS[0]]
+
+    def check(self, series_list, lengths):
+        assert len(series_list) == len(self.TAGS)
+        assert [len(s) for s in series_list] == lengths
+        assert sum(len(s) for s in series_list) == sum(lengths)
+        for series, tag in zip(series_list, self.TAGS):
+            assert series[0].cycle == tag
+            ts = [r.t for r in series]
+            assert all(isinstance(t, float) for t in ts)
+            assert ts == sorted(ts) and len(ts) == len(series)
+
+    def test_simulated(self):
+        self.check(gen_battery_curves(25.0, 7, seed=3, capacity_ah=0.05),
+                   [478, 806, 981, 946, 628, 1869, 952])
+
+    def test_ingested(self, tmp_path):
+        path = tmp_path / "pack.csv"
+        write_battery_csv(gen_battery_curves(25.0, 7, seed=3, capacity_ah=0.05),
+                          path)
+        self.check(ingest_battery_csv(path), [48, 81, 99, 95, 63, 187, 96])
 
 
 class TestIngestion:
@@ -285,7 +316,7 @@ class TestIngestion:
         write_battery_csv(series, path)
         once = ingest_battery_csv(path)
         write_battery_csv(once, path)
-        assert ingest_battery_csv(path) == once
+        assert as_tuples(ingest_battery_csv(path)) == as_tuples(once)
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "b.csv"
@@ -329,6 +360,16 @@ class TestIngestion:
         with pytest.raises(ValueError) as err:
             ingest_battery_csv(path)
         assert str(err.value).startswith(f"{path}: ") and problem in str(err.value)
+
+    @pytest.mark.parametrize("tag", ["US06\x00", "\x00", "a\x00b"])
+    def test_nul_in_cycle_tag_rejected_with_file_and_row(self, tmp_path, tag):
+        # numpy's str dtype would drop a trailing NUL from the stored tag.
+        path = tmp_path / "b.csv"
+        path.write_text("time_s,voltage_v,current_a,temp_c,soc,cycle\n"
+                        f"0,3.5,1,25,1.0,US06\n1,3.5,1,25,0.9,{tag}\n")
+        with pytest.raises(ValueError, match="NUL") as err:
+            ingest_battery_csv(path)
+        assert str(path) in str(err.value) and "row 3" in str(err.value)
 
     @pytest.mark.parametrize("row", ["0,nan,1,25,1.0,US06",
                                      "0,3.5,inf,25,1.0,US06",

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +20,11 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_readme_states_source_line_count():
+    # The count `wc -l src/uga/*.py` prints: newlines in every module.
+    root = Path(__file__).resolve().parents[1]
+    total = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "uga").glob("*.py"))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert f"`src/uga/` is {total:,} lines (`wc -l src/uga/*.py`)" in readme

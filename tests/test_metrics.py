@@ -182,6 +182,30 @@ class TestCsvArtifacts:
         with pytest.raises(ValueError):
             mt.read_metrics_csv(path)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("t,m,0,1", "4 fields, the header names 8"),
+        ("t,m,0,0.1,0.2,0.3,0.9,,extra", "9 fields, the header names 8"),
+        ("t,m,0,abc,,,,", "could not convert string to float: 'abc'"),
+        ("t,m,0,nan,,,,", "non-finite metric"),
+        ("t,m,0,0.1,,-inf,,", "non-finite metric"),
+    ])
+    def test_bad_rows_rejected_with_file_and_row(self, tmp_path, row, problem):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(mt.METRICS_COLUMNS) + "\nt,m,0,0.1,,,,\n"
+                        + row + "\n")
+        with pytest.raises(ValueError) as err:
+            mt.read_metrics_csv(path)
+        assert str(err.value) == f"{path}: bad metrics row 3: {problem}"
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(mt.METRICS_COLUMNS) + "\n\nt,m,0,0.1,,,,\n\n")
+        assert mt.read_metrics_csv(path) == [dict(zip(
+            mt.METRICS_COLUMNS, ["t", "m", "0", "0.1", "", "", "", ""]))]
+        path.write_text(",".join(mt.METRICS_COLUMNS) + "\n\nt,m,0,nan,,,,\n")
+        with pytest.raises(ValueError, match="bad metrics row 3: non-finite"):
+            mt.read_metrics_csv(path)
+
     def test_report_table_shape_and_missing_cells(self):
         rows = [
             {"task": "A", "method": "source_only", "seed": "0", "mae": "0.5",
