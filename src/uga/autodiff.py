@@ -150,9 +150,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def _check_elementwise(a: Tensor, b: Tensor) -> None:
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.size == 1 or b.data.size == 1:
+    if a.data.shape == b.data.shape or 1 in (a.data.size, b.data.size):
         return
     raise ShapeError(
         f"elementwise operands must share a shape or be scalar, "
@@ -468,17 +466,17 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
 
     `layers` holds one (Wx (in, 4h), Wh (h, 4h), b (1, 4h)) triple per
     layer, gate blocks ordered input, forget, cell, output; h and c start
-    at zero.  Each layer's input projections for all T steps come from one
-    stacked (T, B, in) @ (in, 4h) matmul call.  The input, forget and
-    output columns of Wx, Wh and b are halved once per call, so each step
-    takes one tanh over all 4h pre-activation columns and maps the sigmoid
-    gates to tanh/2 + 1/2, the form of `sigmoid`.  Halving is exact, so the
-    forward values are bit-identical to the per-step composition of matmul,
-    slice_last, sigmoid, tanh, mul and add.  Each step's gates, i g, f c
-    and tanh c are kept only when the call is recorded (otherwise one
-    step's buffers are reused); backward is plain backpropagation through
-    time over them, which agrees with the per-step tape's gradients to
-    rounding.
+    at zero.  The input, forget and output columns of Wx, Wh and b are
+    halved once per call, so each step takes one tanh over all 4h
+    pre-activation columns and maps the sigmoid gates to tanh/2 + 1/2, the
+    form of `sigmoid`.  Halving is exact, so the forward values are
+    bit-identical to the per-step composition of matmul, slice_last,
+    sigmoid, tanh, mul and add.  A recorded call projects all T steps'
+    inputs with one stacked (T, B, in) @ (in, 4h) matmul and keeps each
+    step's gates, i g, f c and tanh c; an unrecorded call projects one step
+    at a time and reuses one step's buffers.  Backward is plain
+    backpropagation through time over them, which agrees with the per-step
+    tape's gradients to rounding.
     """
     x = _as_tensor(x)
     if x.data.ndim != 3 or min(x.data.shape[:2]) < 1:
@@ -505,28 +503,31 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
     for Wx, Wh, b in triples:
         h = Wh.data.shape[0]
         # Per gate column: pre-activation scale, then tanh -> activation as
-        # t * scale + (1 - scale): sigmoid on i, f, o and tanh on g.  Full
-        # (B, 4h) rows: numpy runs same-shape operands faster than a
-        # broadcast row.
+        # t * scale + (1 - scale): sigmoid on i, f, o and tanh on g.  Full (B,
+        # 4h) rows: numpy runs same-shape operands faster than a broadcast row.
         scale = np.full((batch, 4 * h), 0.5)
         scale[:, 2 * h:3 * h] = 1.0
         shift = 1.0 - scale
-        # Stacked, not one (T*B, in) gemm: numpy computes a one-row product
-        # as a gemv, which rounds differently from the gemm at batch 1.
-        proj = seq @ (Wx.data * scale[0])
-        proj += b.data * scale[0]
-        wh = Wh.data * scale[0]
+        wx, wh, bias = (p.data * scale[0] for p in (Wx, Wh, b))
         hs = np.zeros((steps + 1, batch, h))   # hs[t + 1] is h_t; hs[0] = 0
         c = np.zeros((batch, h))
         gates = np.empty((kept, batch, 4 * h))
         ig = np.empty((kept, batch, h))        # i_t g_t
         fc = np.empty((kept, batch, h))        # f_t c_{t-1}
         tanh_c = np.empty((kept, batch, h))
+        # Stacked, not one (T*B, in) gemm: numpy computes a one-row product
+        # as a gemv, which rounds differently from the gemm at batch 1.
+        proj = seq @ wx if record else np.empty((1, batch, 4 * h))
+        if record:
+            proj += bias
         for t in range(steps):
             k = t if record else 0
+            if not record:
+                np.matmul(seq[t], wx, out=proj[0])
+                proj[0] += bias
             act = gates[k]
             np.matmul(hs[t], wh, out=act)
-            act += proj[t]
+            act += proj[k]
             np.tanh(act, out=act)
             act *= scale
             act += shift

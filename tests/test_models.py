@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +446,8 @@ class TestFusedLstm:
                              if t.grad is not None]))
         (z_op, g_op), (z_ref, g_ref) = results
         assert z_op.tobytes() == z_ref.tobytes()
+        with ad.no_grad():   # the unrecorded path projects step by step
+            assert seq_forward(w, bundle).data.tobytes() == z_ref.tobytes()
         assert len(g_op) == len(g_ref) == 3 * num_layers
         for a, b in zip(g_op, g_ref):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -459,6 +462,22 @@ class TestFusedLstm:
         assert not z.requires_grad
         assert z._backward is None and z._parents == ()
         np.testing.assert_array_equal(z.data, seq_forward(w, bundle).data)
+
+    def test_no_grad_allocates_no_projection_for_all_steps(self):
+        """Unrecorded, the op's peak allocation stays well below one
+        (T, B, 4h) array: evaluation memory does not scale with it."""
+        batch, steps, h = 64, 100, 16
+        bundle = build_bundle(SeqEncoderSpec(num_layers=1, hidden_dim=h,
+                                             input_dim=3, window_len=steps), seed=0)
+        w = np.random.default_rng(0).normal(size=(batch, steps, 3))
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                seq_forward(w, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < steps * batch * 4 * h * 8 / 2
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
