@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 import numpy as np
-import scipy.spatial.distance
 
 from . import autodiff as ad
 from .evidential import NigOutput
@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 BANK_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 class AlignmentKind(enum.Enum):
@@ -75,13 +77,17 @@ def rbf_kernel(x, y, sigma2: float) -> float:
     return float(np.exp(-d2 / (2.0 * sigma2)))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # squared norms may overflow
 def median_bandwidth(X, Y) -> float:
     """Median of nonzero pairwise squared distances over the pooled samples.
 
     Self-pairs are excluded; if every pairwise distance is zero the declared
     fallback value 1.0 is returned.  The result has the bits of
-    np.median(d2[d2 > 0]), but the median is selected in place in the
-    array pdist returns, without the two copies that form would make.
+    np.median(d2[d2 > 0]) over pdist(pool, "sqeuclidean") without building
+    it: a Gram screen |a|^2 + |b|^2 - 2a.b bounds each pair within tol, one
+    row block of ad.BLOCK_FLOATS entries of the n x n square at a time, and
+    only pairs that may be zero or meet the middle are recomputed.  Memory
+    is one block plus a sample and a window that grow as n^(4/3).
     """
     X, Y = _as_matrix(X), _as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
@@ -92,20 +98,93 @@ def median_bandwidth(X, Y) -> float:
         raise ValueError("median_bandwidth needs at least 2 points")
     if not np.all(np.isfinite(pool)):
         raise ValueError("median_bandwidth needs finite samples")
-    d2 = scipy.spatial.distance.pdist(pool, metric="sqeuclidean")
-    # Every entry is >= 0, so the zeros sort first and the nonzero median
-    # sits m // 2 places after them.
-    zeros = d2.size - np.count_nonzero(d2)
-    m = d2.size - zeros
+    n, d = pool.shape
+    sq = np.einsum("ij,ij->i", pool, pool)
+    left, right = np.ones((n, d + 2)), np.ones((d + 2, n))
+    left[:, :d], left[:, d] = pool, sq
+    right[:d], right[d + 1] = pool.T * -2.0, sq
+    # Rounding of the screen and of pdist relative to the squared norms, plus
+    # underflowing products; overflowing norms give no bound.
+    top = 8.0 * sq.max()
+    tol = 2.0 * (d + 2) * _EPS * top + 8.0 * (d + 1) * _TINY if top < np.inf else np.inf
+    rows = max(1, ad.BLOCK_FLOATS // n)
+    kept = left @ right if rows >= n else None
+
+    def screens():   # (flat index of a row block's first entry, its screen)
+        for s in range(0, n, rows):
+            yield s * n, left[s:s + rows] @ right if kept is None else kept
+
+    # The square holds every pair twice and n zero self-pairs, so pair rank
+    # r is square rank n + 2r.  A sample, its stride prime to n to reach
+    # every column, places the window [a, b] around the middle ranks.
+    stride = max(8, round(n ** (2 / 3) / 2))   # sample and window grow as n^(4/3)
+    while math.gcd(stride, n) > 1:
+        stride += 1
+    zeros, sample = 0, []
+    for base, D in screens():
+        maybe = ~(D > tol)
+        if np.count_nonzero(maybe) > len(D):   # more than the self-pairs
+            flat = np.flatnonzero(maybe) + base
+            flat = flat[flat // n != flat % n]
+            zeros += flat.size - np.count_nonzero(_sq_dists(pool, flat))
+        sample.append(D.ravel()[-base % stride::stride].copy())
+    m = n * (n - 1) // 2 - zeros // 2
     if m == 0:
         return 1.0
-    k = zeros + m // 2
-    d2.partition(k)
-    hi = d2[k]
-    if m % 2:
-        return float(hi)
-    # Even count: join the two middles the way np.median's mean does.
-    return float((d2[:k].max() + hi) / 2.0)
+    hi_rank = n + zeros + m // 2 * 2
+    lo_rank = hi_rank - 2 + m % 2 * 2
+    sample = np.sort(np.concatenate(sample))
+    margin = math.isqrt(sample.size) + 2 if tol < np.inf else sample.size
+    while True:
+        i = lo_rank * sample.size // (n * n) - margin
+        j = hi_rank * sample.size // (n * n) + margin + 1
+        # Padded by 2 tol, so that ties at an edge do not fail the check.
+        a = sample[i] - 2.0 * tol if i >= 0 else -np.inf
+        b = sample[j] + 2.0 * tol if j < sample.size else np.inf
+        below, vals, flats = 0, [], []
+        for base, D in screens():
+            count, flat = _split(D, a, b)
+            below += count
+            vals.append(D.ravel()[flat])
+            flats.append(flat + base)
+        vals, flats = np.concatenate(vals), np.concatenate(flats)
+        r1, r2 = lo_rank - below, hi_rank - below
+        if r1 >= 0 and r2 < vals.size:
+            part = np.partition(vals, r1)
+            lo = part[r1] - 2.0 * tol
+            hi = np.partition(part[r1:], r2 - r1)[r2 - r1] + 2.0 * tol
+            # Every pair whose bound meets [lo + tol, hi - tol] must be in.
+            if not (lo < a or hi > b):
+                break
+        margin *= 4
+    # The middles lie in [lo + tol, hi - tol]: pairs screened below lo and
+    # exact values below lo + tol lie below them.
+    count, keep = _split(vals, lo, hi)
+    exact = _sq_dists(pool, flats[keep])
+    below_exact, inside = _split(exact, lo + tol, hi - tol)
+    middle = np.sort(exact[inside])
+    below += count + below_exact
+    upper = middle[hi_rank - below]
+    return float(upper if m % 2 else (middle[lo_rank - below] + upper) / 2.0)
+
+
+def _split(v, lo, hi):
+    """(count of v below lo, flat positions of the rest up to hi or NaN)."""
+    out = v < lo
+    below = np.count_nonzero(out)
+    out |= v > hi
+    return below, np.flatnonzero(~out)
+
+
+def _sq_dists(pool, flat):
+    """pdist's bits for pairs (flat // n, flat % n): squares summed in order."""
+    i, j = np.divmod(flat, len(pool))
+    out = np.zeros(flat.size)   # zero-column samples stay at zero
+    step = ad.BLOCK_FLOATS // max(1, pool.shape[1])
+    for s in range(0, flat.size if pool.shape[1] else 0, step):
+        diff = pool[i[s:s + step]] - pool[j[s:s + step]]
+        out[s:s + step] = np.add.accumulate(diff * diff, axis=1)[:, -1]
+    return out
 
 
 def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:

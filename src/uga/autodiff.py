@@ -38,6 +38,9 @@ class DomainError(ValueError):
     """Input values fall outside the operation's mathematical domain."""
 
 
+# Floats per row chunk of unrecorded mmd blocks and median_bandwidth's screen.
+BLOCK_FLOATS = 1 << 16
+
 _node_ids = itertools.count()
 _grad_enabled = True
 
@@ -604,7 +607,8 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
     block by block (xy, yy, xx), each block as the cross term, its
     transpose, then the squared norms of its right and left operand, each
     added twice.  Kernel matrices are kept only when the call is recorded;
-    otherwise each block's kernels are evaluated in one reused buffer.
+    otherwise each block runs in row chunks of BLOCK_FLOATS entries, adding
+    up their column sums: the bits differ only for blocks of several chunks.
     """
     x, y = _as_tensor(x), _as_tensor(y)
     if x.data.ndim != 2 or y.data.ndim != 2 or x.data.shape[1] != y.data.shape[1]:
@@ -623,36 +627,31 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
     # (a, b, |a|^2, |b|^2) per block, in backward order: xy, yy, xx.
     blocks = ((x.data, y.data, sqx, sqy), (y.data, y.data, sqy, sqy),
               (x.data, x.data, sqx, sqx))
-    buf = None if record else np.empty(max(n, m) ** 2)
-
-    def scratch(rows, cols):
-        # Recorded kernels are kept for backward; otherwise reuse one buffer.
-        if buf is None:
-            return np.empty((rows, cols))
-        return buf[:rows * cols].reshape(rows, cols)
 
     means = []     # per block: the bandwidths' kernel means
     cache = []     # per block: (b^T, kernel matrices) when recorded
     for a, b, sqa, sqb in blocks:
         bt = b.T.copy()
-        dist = a @ bt
-        dist *= 2.0
-        rows, cols = dist.shape
-        norms = scratch(rows, cols)
-        np.add(sqa, sqb.T, out=norms)
-        np.subtract(norms, dist, out=dist)
+        rows, cols = a.shape[0], b.shape[0]
+        step = rows if record else max(1, BLOCK_FLOATS // cols)
+        buf = None if record else np.empty(min(step, rows) * cols)
+        sums = [None] * len(coefs)   # per bandwidth: (1, cols) column sums
+        kernels = []
+        for start in range(0, rows, step):
+            dist = a[start:start + step] @ bt
+            dist *= 2.0
+            np.subtract(sqa[start:start + step] + sqb.T, dist, out=dist)
+            for i, c in enumerate(coefs):
+                # Recorded kernels are kept for backward; otherwise reuse buf.
+                k = np.multiply(dist, c, out=None if record else
+                                buf[:dist.size].reshape(dist.shape))
+                np.exp(k, out=k)
+                part = np.ones((1, k.shape[0])) @ k
+                sums[i] = part if sums[i] is None else sums[i] + part
+                kernels.append(k)
         inv = 1.0 / (rows * cols)
-        kernels, block_means = [], []
-        for c in coefs:
-            k = scratch(rows, cols)
-            np.multiply(dist, c, out=k)
-            np.exp(k, out=k)
-            total = (np.ones((1, rows)) @ k) @ np.ones((cols, 1))
-            block_means.append(total.reshape(()) * inv)
-            kernels.append(k)
-        means.append(block_means)
+        means.append([(s @ np.ones((cols, 1))).reshape(()) * inv for s in sums])
         cache.append((bt, kernels) if record else None)
-        del dist   # before the next block's distances are allocated
     acc = None
     for mxy, myy, mxx in zip(*means):
         term = (mxx + myy) - mxy * 2.0

@@ -354,8 +354,8 @@ def ingest_battery_csv(path) -> list[np.recarray]:
         width = max(cols) + 1
         blocks: list[tuple[str, list]] = []
         tag = last_t = None
-        # filter(None, ...) skips blank lines, which are not data rows.
-        for row_no, row in enumerate(filter(None, reader), start=2):
+        # Blank lines are not data rows, but they count in row numbers.
+        for row_no, row in ((k, row) for k, row in enumerate(reader, start=2) if row):
             try:
                 if len(row) < width:
                     raise ValueError(f"{len(row)} fields, the header names {width}")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,9 @@ class TestMedianBandwidth:
 
     def test_identical_points_fallback(self):
         assert median_bandwidth([[2.0], [2.0]], [[2.0]]) == 1.0
+
+    def test_zero_columns_fallback(self):
+        assert median_bandwidth(np.zeros((3, 0)), np.zeros((2, 0))) == 1.0
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -135,21 +139,91 @@ class TestInPlaceMedian:
         Y[:10] = X[:10]  # a few exact cross-domain duplicates
         self.assert_bits(X, Y)
 
-    def test_no_grad_mmd_peak_memory(self):
-        # evaluate's posterior gap: 2,000 + 2,000 rows of [nu, alpha, beta].
-        # The pdist vector alone is 64 MB; the copying median needed two
-        # more of it (136 MB peak), the in-place one none.
-        rng = np.random.default_rng(73)
-        X = rng.normal(size=(2000, 3))
-        Y = rng.normal(loc=0.5, size=(2000, 3))
+    @staticmethod
+    def traced_peak(fn):
         tracemalloc.start()
         try:
             with ad.no_grad():
-                mmd2_biased(X, Y)
-            _current, peak = tracemalloc.get_traced_memory()
+                fn()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 96e6
+
+    def test_no_grad_mmd_peak_memory(self):
+        # evaluate's posterior gap: 2,000 + 2,000 rows of [nu, alpha, beta].
+        # A pdist vector of these rows would be 64 MB and a 2,000 x 2,000
+        # kernel matrix 32 MB; the row-blocked median and MMD hold neither.
+        rng = np.random.default_rng(73)
+        X = rng.normal(size=(2000, 3))
+        Y = rng.normal(loc=0.5, size=(2000, 3))
+        assert self.traced_peak(lambda: mmd2_biased(X, Y)) < 16e6
+
+    def test_median_bandwidth_peak_memory(self):
+        rng = np.random.default_rng(79)
+        X = rng.normal(size=(2000, 3))
+        Y = rng.normal(loc=0.5, size=(2000, 3))
+        assert self.traced_peak(lambda: median_bandwidth(X, Y)) < 16e6
+
+
+class TestScreenedMedian:
+    """The Gram-screened median against pdist's, bit for bit, across the
+    one-block boundary, in d, with ties, and where squares underflow or
+    squared norms overflow."""
+
+    # Pools of 256 rows fit one screen block, 257 rows take two.
+    ONE_BLOCK = ad.BLOCK_FLOATS // 256
+
+    @staticmethod
+    def pools(rng, total, d):
+        n = total // 2
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        Y = rng.normal(loc=0.5, size=(total - n, d)) * rng.uniform(0.1, 10.0, size=d)
+        return X, Y
+
+    @pytest.mark.parametrize("total", [ONE_BLOCK, ONE_BLOCK + 1])
+    @pytest.mark.parametrize("d", [1, 3, 20, 132])
+    def test_bits_across_the_block_boundary(self, total, d):
+        rng = np.random.default_rng(89 + d)
+        X, Y = self.pools(rng, total, d)
+        TestInPlaceMedian.assert_bits(X, Y)
+        Y[:7] = X[:7]  # cross-domain duplicates
+        X[3:6] = X[2]
+        TestInPlaceMedian.assert_bits(X, Y)
+        # grid rows: many ties at the middle
+        TestInPlaceMedian.assert_bits(np.round(X), np.round(Y))
+        assert TestInPlaceMedian.assert_bits(np.full_like(X, 0.3), np.full_like(Y, 0.3)) == 1.0
+
+    @pytest.mark.parametrize("total", [40, ONE_BLOCK + 1])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-161, 1e-158])
+    def test_bits_where_squares_underflow(self, total, scale):
+        rng = np.random.default_rng(97)
+        for d in (1, 3, 20):
+            X, Y = self.pools(rng, total, d)
+            TestInPlaceMedian.assert_bits(X * scale, Y * scale)
+
+    @pytest.mark.parametrize("total", [40, ONE_BLOCK + 1])
+    @pytest.mark.parametrize("spread", [1e152, 1e160])
+    def test_bits_where_squared_norms_overflow(self, total, spread):
+        # Rows near 1e160: the squared norms overflow; the distances stay
+        # finite at a spread of 1e152 and mostly overflow at 1e160.
+        rng = np.random.default_rng(101)
+        for d in (1, 3, 20):
+            X, Y = self.pools(rng, total, d)
+            X, Y = 1e160 + X * spread, 1e160 + Y * spread
+            assert np.isinf(np.einsum("ij,ij->i", X, X)).all()
+            TestInPlaceMedian.assert_bits(X, Y)
+            Y[:5] = X[:5]
+            TestInPlaceMedian.assert_bits(X, Y)
+
+    def test_bits_when_the_sampled_window_misses(self, monkeypatch):
+        # A zero margin around the sampled middle makes the first windows
+        # miss; each retry widens it until the middle ranks are inside.
+        monkeypatch.setattr("uga.alignment.math.isqrt", lambda v: 0)
+        rng = np.random.default_rng(103)
+        for total in (60, self.ONE_BLOCK + 1, 700):
+            X, Y = self.pools(rng, total, 3)
+            TestInPlaceMedian.assert_bits(X, Y)
+            TestInPlaceMedian.assert_bits(np.round(X), np.round(Y))
 
 
 class TestKernelBank:
@@ -269,6 +343,9 @@ def mmd_tape(X, Y, bandwidths):
     return acc * (1.0 / len(bandwidths))
 
 
+ONE_CHUNK = math.isqrt(ad.BLOCK_FLOATS)
+
+
 class TestFusedMmd:
     """ad.mmd against the tape composition: same bits, value and gradients."""
 
@@ -318,7 +395,10 @@ class TestFusedMmd:
         self.assert_bits(got, self.run(mmd_tape, X, X, bw, same=True))
         assert got[0] == 0.0
 
-    @pytest.mark.parametrize("xs, ys", [((128, 3), (96, 3)), ((200, 3), (150, 3))])
+    # The last shape is the largest n x n call whose blocks each fit one
+    # BLOCK_FLOATS chunk, so its value keeps the tape's bits.
+    @pytest.mark.parametrize("xs, ys", [((128, 3), (96, 3)), ((200, 3), (150, 3)),
+                                        ((ONE_CHUNK, 3), (ONE_CHUNK, 3))])
     def test_no_grad_value_and_no_backward_rule(self, xs, ys):
         X, Y, bw = self.samples(59, xs, ys)
         with ad.no_grad():
@@ -326,6 +406,13 @@ class TestFusedMmd:
             want = mmd_tape(ad.constant(X), ad.constant(Y), bw)
         assert out._backward is None and out._parents == ()
         assert out.data.tobytes() == np.asarray(want.data).tobytes()
+
+    def test_no_grad_several_chunks_close_to_tape(self):
+        X, Y, bw = self.samples(61, (1000, 3), (900, 3))
+        with ad.no_grad():
+            got = ad.mmd(X, Y, bw).item()
+            want = mmd_tape(ad.constant(X), ad.constant(Y), bw).item()
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ad.ShapeError):

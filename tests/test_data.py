@@ -353,6 +353,11 @@ class TestIngestion:
          "1,3.5,1,25,0.9\n", "bad battery CSV row 3"),
         ("time_s,voltage_v,current_a,temp_c,soc,cycle\n0,3.5,1,25,1.0,US06\n"
          "1,3.5,x,25,0.9,US06\n", "bad battery CSV row 3"),
+        # Rows are numbered by file line: the blank line counts.
+        ("time_s,voltage_v,current_a,temp_c,soc,cycle\n0,3.5,1,25,1.0,US06\n"
+         "\n1,3.5,x,25,0.9,US06\n", "bad battery CSV row 4:"),
+        ("time_s,voltage_v,current_a,temp_c,soc,cycle\n\n\n0,3.5,1,25,1.0,US06\n"
+         "1,3.5,1,25,-0.1,US06\n", "outside [0, 1] at row 5"),
     ])
     def test_schema_errors_name_the_file(self, tmp_path, text, problem):
         path = tmp_path / "pack.csv"

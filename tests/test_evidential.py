@@ -246,13 +246,23 @@ class TestPredictiveInterval:
         assert hi.tobytes() == (gamma + q * scale).tobytes()
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
+def loaded_by_package_import(module):
     # uga.cli imports every module of the package.
     src_dir = str(Path(uga.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, uga.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, uga.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    assert loaded_by_package_import("scipy.stats") == "False"
+
+
+def test_package_import_leaves_scipy_spatial_unloaded():
+    # median_bandwidth screens its distances without pdist, so importing
+    # the package does not pay for scipy.spatial.
+    assert loaded_by_package_import("scipy.spatial") == "False"
