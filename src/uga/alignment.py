@@ -31,6 +31,7 @@ __all__ = [
 BANK_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
+_SCREEN_ROWS = math.isqrt(ad.BLOCK_FLOATS)   # median_bandwidth's pool cap
 
 
 class AlignmentKind(enum.Enum):
@@ -81,23 +82,23 @@ def rbf_kernel(x, y, sigma2: float) -> float:
 def median_bandwidth(X, Y) -> float:
     """Median of nonzero pairwise squared distances over the pooled samples.
 
-    Self-pairs are excluded; if every pairwise distance is zero the declared
-    fallback value 1.0 is returned.  The result has the bits of
-    np.median(d2[d2 > 0]) over pdist(pool, "sqeuclidean") without building
-    it: a Gram screen |a|^2 + |b|^2 - 2a.b bounds each pair within tol, one
-    row block of ad.BLOCK_FLOATS entries of the n x n square at a time, and
-    only pairs that may be zero or meet the middle are recomputed.  Memory
-    is one block plus a sample and a window that grow as n^(4/3).
+    Self-pairs are excluded; 1.0 if every pairwise distance is zero.  A pool
+    of more than 256 rows keeps X[::s] and Y[::s], s = ceil((n + m) / 256),
+    so (X, Y) and (Y, X) keep the same rows.  The result has the bits of
+    np.median(d2[d2 > 0]) over pdist(kept pool, "sqeuclidean"): a Gram screen
+    |a|^2 + |b|^2 - 2a.b bounds each pair within tol, and only pairs that may
+    be zero or meet the middle are recomputed.  Memory does not grow with n.
     """
     X, Y = _as_matrix(X), _as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
         raise ad.ShapeError(
             f"sample dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
-    pool = np.concatenate([X, Y], axis=0)
-    if pool.shape[0] < 2:
+    if len(X) + len(Y) < 2:
         raise ValueError("median_bandwidth needs at least 2 points")
-    if not np.all(np.isfinite(pool)):
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("median_bandwidth needs finite samples")
+    s = -(-(len(X) + len(Y)) // _SCREEN_ROWS)
+    pool = np.concatenate([X[::s], Y[::s]], axis=0)
     n, d = pool.shape
     sq = np.einsum("ij,ij->i", pool, pool)
     left, right = np.ones((n, d + 2)), np.ones((d + 2, n))
@@ -107,33 +108,23 @@ def median_bandwidth(X, Y) -> float:
     # underflowing products; overflowing norms give no bound.
     top = 8.0 * sq.max()
     tol = 2.0 * (d + 2) * _EPS * top + 8.0 * (d + 1) * _TINY if top < np.inf else np.inf
-    rows = max(1, ad.BLOCK_FLOATS // n)
-    kept = left @ right if rows >= n else None
-
-    def screens():   # (flat index of a row block's first entry, its screen)
-        for s in range(0, n, rows):
-            yield s * n, left[s:s + rows] @ right if kept is None else kept
+    D = (left @ right).ravel()
 
     # The square holds every pair twice and n zero self-pairs, so pair rank
     # r is square rank n + 2r.  A sample, its stride prime to n to reach
     # every column, places the window [a, b] around the middle ranks.
-    stride = max(8, round(n ** (2 / 3) / 2))   # sample and window grow as n^(4/3)
-    while math.gcd(stride, n) > 1:
-        stride += 1
-    zeros, sample = 0, []
-    for base, D in screens():
-        maybe = ~(D > tol)
-        if np.count_nonzero(maybe) > len(D):   # more than the self-pairs
-            flat = np.flatnonzero(maybe) + base
-            flat = flat[flat // n != flat % n]
-            zeros += flat.size - np.count_nonzero(_sq_dists(pool, flat))
-        sample.append(D.ravel()[-base % stride::stride].copy())
+    flat = np.flatnonzero(~(D > tol))
+    flat = flat[flat // n != flat % n]
+    zeros = flat.size - np.count_nonzero(_sq_dists(pool, flat))
     m = n * (n - 1) // 2 - zeros // 2
     if m == 0:
         return 1.0
     hi_rank = n + zeros + m // 2 * 2
     lo_rank = hi_rank - 2 + m % 2 * 2
-    sample = np.sort(np.concatenate(sample))
+    stride = max(8, round(n ** (2 / 3) / 2))
+    while math.gcd(stride, n) > 1:
+        stride += 1
+    sample = np.sort(D[::stride])
     margin = math.isqrt(sample.size) + 2 if tol < np.inf else sample.size
     while True:
         i = lo_rank * sample.size // (n * n) - margin
@@ -141,13 +132,8 @@ def median_bandwidth(X, Y) -> float:
         # Padded by 2 tol, so that ties at an edge do not fail the check.
         a = sample[i] - 2.0 * tol if i >= 0 else -np.inf
         b = sample[j] + 2.0 * tol if j < sample.size else np.inf
-        below, vals, flats = 0, [], []
-        for base, D in screens():
-            count, flat = _split(D, a, b)
-            below += count
-            vals.append(D.ravel()[flat])
-            flats.append(flat + base)
-        vals, flats = np.concatenate(vals), np.concatenate(flats)
+        below, flat = _split(D, a, b)
+        vals = D[flat]
         r1, r2 = lo_rank - below, hi_rank - below
         if r1 >= 0 and r2 < vals.size:
             part = np.partition(vals, r1)
@@ -160,7 +146,7 @@ def median_bandwidth(X, Y) -> float:
     # The middles lie in [lo + tol, hi - tol]: pairs screened below lo and
     # exact values below lo + tol lie below them.
     count, keep = _split(vals, lo, hi)
-    exact = _sq_dists(pool, flats[keep])
+    exact = _sq_dists(pool, flat[keep])
     below_exact, inside = _split(exact, lo + tol, hi - tol)
     middle = np.sort(exact[inside])
     below += count + below_exact

@@ -476,8 +476,8 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
     bit-identical to the per-step composition of matmul, slice_last,
     sigmoid, tanh, mul and add.  A recorded call projects all T steps'
     inputs with one stacked (T, B, in) @ (in, 4h) matmul and keeps each
-    step's gates, i g, f c and tanh c; an unrecorded call projects one step
-    at a time and reuses one step's buffers.  Backward is plain
+    step's gates, i g, f c and tanh c; an unrecorded call runs the same
+    code one step at a time, so it holds one step's buffers.  Backward is plain
     backpropagation through time over them, which agrees with the per-step
     tape's gradients to rounding.
     """
@@ -501,7 +501,7 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
     record = _grad_enabled and any(p.requires_grad for p in parents)
 
     seq = np.ascontiguousarray(x.data.transpose(1, 0, 2))  # (T, B, in)
-    kept = steps if record else 1   # steps of gate history backward reads
+    kept = steps if record else 1   # steps of gate history and projections held
     cache = []
     for Wx, Wh, b in triples:
         h = Wh.data.shape[0]
@@ -520,14 +520,11 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
         tanh_c = np.empty((kept, batch, h))
         # Stacked, not one (T*B, in) gemm: numpy computes a one-row product
         # as a gemv, which rounds differently from the gemm at batch 1.
-        proj = seq @ wx if record else np.empty((1, batch, 4 * h))
-        if record:
-            proj += bias
         for t in range(steps):
-            k = t if record else 0
-            if not record:
-                np.matmul(seq[t], wx, out=proj[0])
-                proj[0] += bias
+            k = t % kept
+            if k == 0:   # project the next `kept` steps' inputs
+                proj = seq[t:t + kept] @ wx
+                proj += bias
             act = gates[k]
             np.matmul(hs[t], wh, out=act)
             act += proj[k]

@@ -321,6 +321,8 @@ def read_vector_csv(path):
             raise ValueError(f"{path}: vector CSV has no feature columns")
         rows = []
         for k, row in enumerate(reader, start=2):
+            if not row:   # blank lines are not data rows but count in k
+                continue
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {k}: expected {len(header)} fields")
             try:
@@ -386,8 +388,8 @@ def windows_to_set(series_list, length: int = 100, stride: int = 1) -> LabeledSe
     """Sliding (V, I, T) windows over every series of at least `length`
     records, every stride-th, stacked into one LabeledSet; a window's label
     is the soc at its final step."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    if length < 1 or stride < 1:
+        raise ValueError(f"length and stride must be >= 1, got {length}, {stride}")
     views, labels = [], []
     for series in series_list:
         if len(series) < length:

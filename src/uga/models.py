@@ -300,5 +300,7 @@ def load_checkpoint(path) -> ModelBundle:
         n = math.prod(shape)
         vals = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
         offset += n * 8
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"non-finite value in parameter {name}")
         params[name] = ad.param(vals.reshape(shape).astype(np.float64))
     return ModelBundle(spec=spec, params=params)

@@ -73,11 +73,24 @@ class TestMedianBandwidth:
         rng = np.random.default_rng(3)
         X, Y = rng.normal(size=(6, 3)), rng.normal(size=(9, 3))
         assert median_bandwidth(X, Y) == median_bandwidth(Y, X)
+        # thinned: both orders keep rows 0, 3, 6, ... of each side
+        X, Y = rng.normal(size=(300, 3)), rng.normal(size=(400, 3))
+        assert median_bandwidth(X, Y) == median_bandwidth(Y, X)
 
     def test_nonfinite_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 median_bandwidth([[0.0], [bad]], [[1.0]])
+
+
+SCREEN_ROWS = math.isqrt(ad.BLOCK_FLOATS)
+
+
+def thinned(X, Y):
+    """The rows median_bandwidth keeps: every s-th row of each side, with
+    s = ceil((n + m) / SCREEN_ROWS), so pools of up to 256 rows stay whole."""
+    s = -(-(len(X) + len(Y)) // SCREEN_ROWS)
+    return X[::s], Y[::s]
 
 
 def median_bandwidth_ref(X, Y):
@@ -90,11 +103,12 @@ def median_bandwidth_ref(X, Y):
 
 
 class TestInPlaceMedian:
-    """median_bandwidth against np.median(d2[d2 > 0]): same bits."""
+    """median_bandwidth against np.median(d2[d2 > 0]) of the thinned pool:
+    same bits."""
 
     @staticmethod
     def assert_bits(X, Y):
-        got, want = median_bandwidth(X, Y), median_bandwidth_ref(X, Y)
+        got, want = median_bandwidth(X, Y), median_bandwidth_ref(*thinned(X, Y))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         return got
 
@@ -160,18 +174,24 @@ class TestInPlaceMedian:
 
     def test_median_bandwidth_peak_memory(self):
         rng = np.random.default_rng(79)
-        X = rng.normal(size=(2000, 3))
-        Y = rng.normal(loc=0.5, size=(2000, 3))
-        assert self.traced_peak(lambda: median_bandwidth(X, Y)) < 16e6
+        for rows in (2000, 8000):
+            X = rng.normal(size=(rows, 3))
+            Y = rng.normal(loc=0.5, size=(rows, 3))
+            assert self.traced_peak(lambda: median_bandwidth(X, Y)) < 2e6
+
+    def test_pools_above_the_screen_are_thinned(self):
+        # 4,000 pooled rows: stride ceil(4000 / 256) = 16 on both sides
+        rng = np.random.default_rng(107)
+        X, Y = rng.normal(size=(2000, 3)), rng.normal(size=(2000, 3))
+        got = median_bandwidth(X, Y)
+        assert got == median_bandwidth_ref(X[::16], Y[::16])
+        assert got != median_bandwidth_ref(X, Y)
 
 
 class TestScreenedMedian:
     """The Gram-screened median against pdist's, bit for bit, across the
-    one-block boundary, in d, with ties, and where squares underflow or
+    thinning boundary, in d, with ties, and where squares underflow or
     squared norms overflow."""
-
-    # Pools of 256 rows fit one screen block, 257 rows take two.
-    ONE_BLOCK = ad.BLOCK_FLOATS // 256
 
     @staticmethod
     def pools(rng, total, d):
@@ -180,7 +200,8 @@ class TestScreenedMedian:
         Y = rng.normal(loc=0.5, size=(total - n, d)) * rng.uniform(0.1, 10.0, size=d)
         return X, Y
 
-    @pytest.mark.parametrize("total", [ONE_BLOCK, ONE_BLOCK + 1])
+    # Pools of 256 rows are screened whole, 257 rows are thinned to 129.
+    @pytest.mark.parametrize("total", [SCREEN_ROWS, SCREEN_ROWS + 1])
     @pytest.mark.parametrize("d", [1, 3, 20, 132])
     def test_bits_across_the_block_boundary(self, total, d):
         rng = np.random.default_rng(89 + d)
@@ -193,7 +214,7 @@ class TestScreenedMedian:
         TestInPlaceMedian.assert_bits(np.round(X), np.round(Y))
         assert TestInPlaceMedian.assert_bits(np.full_like(X, 0.3), np.full_like(Y, 0.3)) == 1.0
 
-    @pytest.mark.parametrize("total", [40, ONE_BLOCK + 1])
+    @pytest.mark.parametrize("total", [40, SCREEN_ROWS + 1])
     @pytest.mark.parametrize("scale", [1e-170, 1e-161, 1e-158])
     def test_bits_where_squares_underflow(self, total, scale):
         rng = np.random.default_rng(97)
@@ -201,7 +222,7 @@ class TestScreenedMedian:
             X, Y = self.pools(rng, total, d)
             TestInPlaceMedian.assert_bits(X * scale, Y * scale)
 
-    @pytest.mark.parametrize("total", [40, ONE_BLOCK + 1])
+    @pytest.mark.parametrize("total", [40, SCREEN_ROWS + 1])
     @pytest.mark.parametrize("spread", [1e152, 1e160])
     def test_bits_where_squared_norms_overflow(self, total, spread):
         # Rows near 1e160: the squared norms overflow; the distances stay
@@ -220,7 +241,7 @@ class TestScreenedMedian:
         # miss; each retry widens it until the middle ranks are inside.
         monkeypatch.setattr("uga.alignment.math.isqrt", lambda v: 0)
         rng = np.random.default_rng(103)
-        for total in (60, self.ONE_BLOCK + 1, 700):
+        for total in (60, SCREEN_ROWS + 1, 700):
             X, Y = self.pools(rng, total, 3)
             TestInPlaceMedian.assert_bits(X, Y)
             TestInPlaceMedian.assert_bits(np.round(X), np.round(Y))
@@ -260,6 +281,9 @@ class TestMmd:
             X = rng.normal(size=(rng.integers(1, 9), 4))
             Y = rng.normal(size=(rng.integers(1, 9), 4))
             assert mmd2_biased(X, Y).item() == mmd2_biased(Y, X).item()
+        # thinned for the bandwidth: both orders keep the same rows
+        X, Y = rng.normal(size=(300, 4)), rng.normal(size=(400, 4))
+        assert mmd2_biased(X, Y).item() == mmd2_biased(Y, X).item()
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(13)

@@ -329,6 +329,22 @@ class TestEval:
         assert capsys.readouterr().err == \
             "error: bad checkpoint: unsupported head 'point'\n"
 
+    def test_non_finite_checkpoint_exits_2(self, tmp_path, tiny_data, capsys):
+        from uga.models import load_checkpoint, save_checkpoint
+        run = run_train(tmp_path, tiny_data)
+        ckpt = run / "checkpoint.bin"
+        bundle = load_checkpoint(ckpt)
+        bundle.params["head.W"].data[0, 0] = np.nan
+        save_checkpoint(bundle, ckpt)
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--data", str(tiny_data / "target.csv"),
+                         "--out", str(tmp_path / "m.csv"),
+                         "--task", "t", "--method", "m"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad checkpoint: non-finite value in parameter head.W\n")
+        assert not (tmp_path / "m.csv").exists()
+
 
 class TestGradcheck:
     def test_passing_build(self, capsys):

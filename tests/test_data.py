@@ -421,6 +421,11 @@ class TestWindowing:
         with pytest.raises(ValueError):
             windows_to_set([fake_series(100)], 100, 0)
 
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_bad_length(self, length):
+        with pytest.raises(ValueError, match=f"length and stride .* got {length}, 1"):
+            windows_to_set([fake_series(100)], length, 1)
+
     @settings(max_examples=60, deadline=None)
     @given(length=st.integers(1, 40), extra=st.integers(0, 150),
            stride=st.integers(1, 17))
@@ -499,6 +504,15 @@ class TestVectorCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x0,y\n1.0,2.0\n3.0\n")
         with pytest.raises(ValueError, match="row 3"):
+            read_vector_csv(path)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("x0,y\n1.0,0.5\n2.0,0.25\n\n")
+        x, y = read_vector_csv(path)
+        assert x.tolist() == [[1.0], [2.0]] and y.tolist() == [0.5, 0.25]
+        path.write_text("x0,y\n1.0,0.5\n\n3.0\n")
+        with pytest.raises(ValueError, match="row 4: expected 2 fields"):
             read_vector_csv(path)
 
     def test_empty_body_rejected(self, tmp_path):

@@ -275,6 +275,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="head 'point'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        bundle = build_bundle(MlpSpec(layer_widths=(2, 3)), seed=0)
+        bundle.params["head.W"].data[1, 2] = bad
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(bundle, path)
+        with pytest.raises(ValueError, match="non-finite value in parameter head.W"):
+            load_checkpoint(path)
+
     def test_truncated_blob_rejected(self, tmp_path):
         bundle = build_bundle(MlpSpec(layer_widths=(2, 3)), seed=0)
         path = tmp_path / "trunc.ckpt"
