@@ -14,13 +14,12 @@ tensor.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.special
-
-from . import special
 
 __all__ = [
     "Tensor", "ShapeError", "DomainError", "no_grad", "constant", "param",
@@ -318,6 +317,37 @@ def abs(a) -> Tensor:
     return Tensor._from_op(np.abs(a.data), (a,), backward_fn)
 
 
+# Asymptotic series for digamma: -B_{2n} / (2n x^{2n}), n = 1..7.
+_DIGAMMA_SERIES = (-1.0 / 12.0, 1.0 / 120.0, -1.0 / 252.0, 1.0 / 240.0,
+                   -1.0 / 132.0, 691.0 / 32760.0, -1.0 / 12.0)
+_DIGAMMA_SHIFT = 10.0
+
+
+# scipy.special.psi is about 50x faster but rounds differently, and these
+# bits reach every evidential gradient: the swap waits until the headline
+# gate is shown to survive float perturbations (ROADMAP item 1).
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """psi(x) = d/dx ln Gamma(x) for an array x > 0, accurate to ~1e-13 on
+    [1e-3, 1e6]: upward recurrence psi(x) = psi(x+1) - 1/x until x >= 10,
+    then the Bernoulli asymptotic series through 1/x^14.
+    """
+    work = np.array(x, ndmin=1)   # a copy: the loop updates it in place
+    acc = np.zeros_like(work)
+    while True:
+        mask = work < _DIGAMMA_SHIFT
+        if not mask.any():
+            break
+        acc[mask] -= 1.0 / work[mask]
+        work[mask] += 1.0
+    inv2 = 1.0 / (work * work)
+    series = np.zeros_like(work)
+    power = inv2.copy()
+    for coeff in _DIGAMMA_SERIES:
+        series += coeff * power
+        power = power * inv2
+    return (acc + np.log(work) - 0.5 / work + series).reshape(x.shape)
+
+
 def lgamma(a) -> Tensor:
     """ln Gamma(x) elementwise for x > 0; derivative is digamma."""
     a = _as_tensor(a)
@@ -326,7 +356,7 @@ def lgamma(a) -> Tensor:
     out = np.asarray(scipy.special.gammaln(a.data), dtype=np.float64)
 
     def backward_fn(g):
-        return (g * np.asarray(special.digamma(a.data), dtype=np.float64),)
+        return (g * _digamma(a.data),)
 
     return Tensor._from_op(out, (a,), backward_fn)
 
@@ -697,21 +727,6 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
 
 # -- backward pass -----------------------------------------------------------
 
-def _ancestors(root: Tensor) -> list[Tensor]:
-    seen = {id(root)}
-    stack = [root]
-    nodes = [root]
-    while stack:
-        node = stack.pop()
-        for parent in node._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-                nodes.append(parent)
-    nodes.sort(key=lambda t: t._nid)
-    return nodes
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into `.grad` of every leaf that requires
     grad; intermediate results keep `.grad` None.
@@ -726,18 +741,22 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise ValueError("loss is detached: no differentiable input reaches it")
 
-    order = _ancestors(loss)
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = flowing.pop(id(node), None)
-        if g is None or not node.requires_grad:
-            continue
+    # Each node is created after its parents, so popping the largest pending
+    # id visits consumers before what they consume, and each gradient is
+    # summed in decreasing creation order of its contributions.
+    pending = {loss._nid: (loss, np.ones_like(loss.data))}
+    heap = [-loss._nid]
+    while heap:
+        node, g = pending.pop(-heapq.heappop(heap))
         if node._backward is None:
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        parent_grads = node._backward(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            acc = flowing.get(id(parent))
-            flowing[id(parent)] = pg if acc is None else acc + pg
+            entry = pending.get(parent._nid)
+            if entry is None:
+                heapq.heappush(heap, -parent._nid)
+            else:
+                pg = entry[1] + pg
+            pending[parent._nid] = (parent, pg)

@@ -329,6 +329,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"{args.command} failed: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -305,10 +305,18 @@ def write_vector_csv(path, inputs, labels=None) -> None:
         writer.writerows([[repr(v) for v in row] for row in table.tolist()])
 
 
+def _text_lines(f):
+    """The lines of the text file f; a decode error names the file."""
+    try:
+        yield from f
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{f.name}: not UTF-8 text: {e}") from None
+
+
 def read_vector_csv(path):
     """Inverse of write_vector_csv.  Returns (inputs, labels-or-None)."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(_text_lines(f))
         try:
             header = next(reader)
         except StopIteration:
@@ -346,7 +354,7 @@ def ingest_battery_csv(path) -> list[np.recarray]:
     1-second bucket).  Every row is checked; each series is one record
     array (see SERIES_FIELDS) of the rows the downsampling keeps."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(_text_lines(f))
         # The last of repeated names wins, as in csv.DictReader.
         position = {name: k for k, name in enumerate(next(reader, []))}
         for col in CSV_COLUMNS:

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .alignment import mmd2_biased, posterior_vector
-from .data import LabeledSet
+from .data import LabeledSet, _text_lines
 from .evidential import NigOutput, predictive_interval, uncertainties
 from .models import CHECKPOINT_VERSION, ModelBundle, model_forward
 
@@ -203,7 +203,7 @@ def read_metrics_csv(path) -> list[dict]:
     count and each metric cell must be empty or a finite number; errors
     name the file and the row."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(_text_lines(f))
         header = tuple(next(reader, ()))
         if header != METRICS_COLUMNS:
             raise ValueError(f"{path}: unexpected metrics header {header}")

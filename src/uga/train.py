@@ -65,8 +65,7 @@ class TrainConfig:
     clip_norm: float | None = 10.0
 
     def __post_init__(self):
-        if isinstance(self.alignment, str):
-            self.alignment = AlignmentKind(self.alignment)
+        self.alignment = AlignmentKind(self.alignment)
         for name in ("iterations", "batch_size", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

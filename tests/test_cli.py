@@ -81,6 +81,16 @@ class TestDatagen:
             assert (tmp_path / "a" / fname).read_bytes() == \
                    (tmp_path / "b" / fname).read_bytes()
 
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys):
+        # 10^17 float64 rows (711 PiB) exceed any address space, so numpy's
+        # request fails at once even on a host that overcommits memory.
+        capsys.readouterr()
+        assert cli.main(["datagen", "--kind", "cubic", "--out", str(tmp_path / "d"),
+                         "--n", str(10 ** 17)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("datagen failed: Unable to allocate ")
+        assert err.count("\n") == 1 and not (tmp_path / "d").exists()
+
     def test_battery_schema(self, tmp_path):
         out = tmp_path / "cells" / "pack.csv"
         assert cli.main(["datagen", "--kind", "battery", "--out", str(out),
@@ -446,7 +456,8 @@ def _report_on_row(row):
     """A report over one metrics file whose only data row is `row`."""
     def build(tmp, data, blocker):
         metrics = tmp / "m.csv"
-        metrics.write_text(",".join(METRICS_COLUMNS) + "\n" + row + "\n")
+        metrics.write_text(",".join(METRICS_COLUMNS) + "\n" + row + "\n",
+                           errors="surrogateescape")
         return ["report", str(metrics), "--metric", "r2", "--out", str(tmp / "r.csv")]
     return build
 
@@ -454,7 +465,7 @@ def _report_on_row(row):
 def _train_on_source(text):
     """`uga train` with a source CSV holding `text`."""
     def build(tmp, data, blocker):
-        (tmp / "bad.csv").write_text(text)
+        (tmp / "bad.csv").write_text(text, errors="surrogateescape")
         return ["train", "--config", str(write_config(tmp / "cfg.json")),
                 "--source", str(tmp / "bad.csv"), "--out-dir", str(tmp / "run")]
     return build
@@ -541,6 +552,9 @@ _EXIT_2_PROBES = [
     ("train_config_coral", "bad config:",
      lambda tmp, data, blocker: _train_argv(
          tmp, data, tmp / "run", write_config(tmp / "coral.json", alignment="coral"))),
+    ("train_config_null_alignment", "bad config: None is not a valid AlignmentKind\n",
+     lambda tmp, data, blocker: _train_argv(
+         tmp, data, tmp / "run", write_config(tmp / "null.json", alignment=None))),
     ("train_target_width_mismatch", "{tmp}/wide.csv: 2 input columns, the source has 1",
      _wide_target_argv),
     ("gradcheck_negative_seed", "--seed must be >= 0",
@@ -571,6 +585,11 @@ _EXIT_2_PROBES = [
     ("train_source_bad_header", "{tmp}/bad.csv: unexpected vector CSV header",
      _train_on_source("a,y\n0.0,0.5\n")),
     ("eval_data_empty", "{tmp}/empty.csv: vector CSV is empty\n", _eval_on_empty_data),
+    # A byte that is not UTF-8 is a format error naming the file.
+    ("train_source_not_utf8", "{tmp}/bad.csv: not UTF-8 text: 'utf-8' codec can't "
+     "decode byte 0xff in position 13: invalid start byte\n",
+     _train_on_source("x0,y\n0.0,0.5\n\udcff\n")),
+    ("report_not_utf8", "{tmp}/m.csv: not UTF-8 text: ", _report_on_row("t,m,0,\udcff")),
 ]
 
 
@@ -587,6 +606,8 @@ def test_bad_invocation_exits_2_with_one_error_line(build_argv, message,
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(tmp=tmp_path))
     assert err.count("\n") == 1
+    if message.startswith("bad config"):   # refused before training
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
 # Arbitrary bytes as a config or a source CSV, through the whole `train`

@@ -366,6 +366,16 @@ class TestIngestion:
             ingest_battery_csv(path)
         assert str(err.value).startswith(f"{path}: ") and problem in str(err.value)
 
+    def test_non_utf8_rejected_with_file(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"time_s,voltage_v,current_a,temp_c,soc,cycle\n"
+                         b"0,3.5,1,25,1.0,US\xff\n")
+        with pytest.raises(ValueError) as err:
+            ingest_battery_csv(path)
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{path}: not UTF-8 text: 'utf-8' codec "
+                                         "can't decode byte 0xff in position 61")
+
     @pytest.mark.parametrize("tag", ["US06\x00", "\x00", "a\x00b"])
     def test_nul_in_cycle_tag_rejected_with_file_and_row(self, tmp_path, tag):
         # numpy's str dtype would drop a trailing NUL from the stored tag.
@@ -514,6 +524,15 @@ class TestVectorCsv:
         path.write_text("x0,y\n1.0,0.5\n\n3.0\n")
         with pytest.raises(ValueError, match="row 4: expected 2 fields"):
             read_vector_csv(path)
+
+    def test_non_utf8_rejected_with_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x0,y\n0.0,0.5\n\xff\n")
+        with pytest.raises(ValueError) as err:
+            read_vector_csv(path)
+        assert type(err.value) is ValueError
+        assert str(err.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't "
+                                  "decode byte 0xff in position 13: invalid start byte")
 
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -197,6 +197,15 @@ class TestCsvArtifacts:
             mt.read_metrics_csv(path)
         assert str(err.value) == f"{path}: bad metrics row 3: {problem}"
 
+    def test_non_utf8_rejected_with_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(",".join(mt.METRICS_COLUMNS).encode() + b"\nt,\xff,0,0.1,,,,\n")
+        with pytest.raises(ValueError) as err:
+            mt.read_metrics_csv(path)
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{path}: not UTF-8 text: 'utf-8' codec "
+                                         "can't decode byte 0xff")
+
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(",".join(mt.METRICS_COLUMNS) + "\n\nt,m,0,0.1,,,,\n\n")

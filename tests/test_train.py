@@ -161,6 +161,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             tr.TrainConfig(**{field: value})
 
+    # Only strings used to be converted, so a JSON null, number, bool or list
+    # trained and then failed in to_json.
+    @pytest.mark.parametrize("value", [None, 3, True, ["none"], "coral"])
+    def test_bad_alignment_rejected(self, value):
+        with pytest.raises(ValueError, match=r"is not a valid AlignmentKind$"):
+            tr.TrainConfig(alignment=value)
+
     def test_nan_literal_in_json_rejected(self):
         with pytest.raises(ValueError, match="clip_norm"):
             tr.TrainConfig.from_json('{"clip_norm": NaN}')
