@@ -16,10 +16,10 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.special
 
 __all__ = [
     "Tensor", "ShapeError", "DomainError", "no_grad", "constant", "param",
@@ -348,12 +348,30 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     return (acc + np.log(work) - 0.5 / work + series).reshape(x.shape)
 
 
+def _lgamma_or_inf(x: float) -> float:
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def lgamma(a) -> Tensor:
-    """ln Gamma(x) elementwise for x > 0; derivative is digamma."""
+    """ln Gamma(x) elementwise for x > 0; derivative is digamma (`_digamma`).
+
+    Values come from the standard library's `math.lgamma`, element by
+    element, and agree with `scipy.special.gammaln` to a few ulps. Above
+    about 2.55e305 they overflow to +inf, as gammaln's do; for subnormal x
+    they are the finite -ln x, where gammaln returns +inf.
+    """
     a = _as_tensor(a)
     if np.any(~np.isfinite(a.data)) or np.any(a.data <= 0.0):
         raise DomainError("lgamma requires strictly positive finite input")
-    out = np.asarray(scipy.special.gammaln(a.data), dtype=np.float64)
+    n = a.data.size
+    try:
+        out = np.fromiter(map(math.lgamma, a.data.flat), np.float64, n)
+    except OverflowError:
+        out = np.fromiter(map(_lgamma_or_inf, a.data.flat), np.float64, n)
+    out = out.reshape(a.data.shape)
 
     def backward_fn(g):
         return (g * _digamma(a.data),)

@@ -250,7 +250,14 @@ def _cmd_eval(args) -> int:
     _make_dir(out.parent)
 
     started = time.monotonic()
-    report = evaluate(bundle, dataset, reference_inputs=reference)
+    try:
+        # A finite checkpoint can still overflow; evaluate's finiteness
+        # checks name that, and numpy's warnings would only bury the line.
+        with np.errstate(all="ignore"):
+            report = evaluate(bundle, dataset, reference_inputs=reference)
+    except (ValueError, RuntimeError) as e:
+        print(f"eval failed: {e}", file=sys.stderr)
+        return 1
     elapsed = time.monotonic() - started
 
     with _writing(out):

@@ -14,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.special
 
 from . import autodiff as ad
 
@@ -168,8 +167,13 @@ def predictive_interval(p: NigOutput, level: float) -> tuple[np.ndarray, np.ndar
 
     The NIG posterior predictive is Student-t with 2*alpha degrees of
     freedom, location gamma, and scale sqrt(beta*(1+nu)/(nu*alpha)).
-    Returns (lo, hi) arrays of length B.
+    Returns (lo, hi) arrays of length B. The quantile is
+    `scipy.special.stdtrit`, which gives the bits of `scipy.stats.t.ppf`;
+    scipy.special is imported here, on the first call, so importing the
+    package loads no scipy module.
     """
+    import scipy.special
+
     if not 0.0 <= level < 1.0:
         raise ValueError("level must be in [0, 1)")
     gamma = p.gamma.data.ravel()
@@ -177,7 +181,5 @@ def predictive_interval(p: NigOutput, level: float) -> tuple[np.ndarray, np.ndar
     alpha = p.alpha.data.ravel()
     beta = p.beta.data.ravel()
     scale = np.sqrt(beta * (1.0 + nu) / (nu * alpha))
-    # The Student-t quantile: scipy.stats.t.ppf returns the same bits, but
-    # scipy.stats is slow to import and this is all uga needs of it.
     q = scipy.special.stdtrit(2.0 * alpha, 0.5 * (1.0 + level))
     return gamma - q * scale, gamma + q * scale

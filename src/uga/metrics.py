@@ -156,6 +156,8 @@ def evaluate(bundle: ModelBundle, dataset: LabeledSet,
     """
     if len(dataset) == 0:
         raise ValueError("empty evaluation set")
+    if reference_inputs is not None and len(reference_inputs) == 0:
+        raise ValueError("empty reference set")
     p = _forward_chunks(bundle, dataset.inputs)
     preds = p.gamma.data
     al, ep = uncertainties(p)

@@ -106,6 +106,28 @@ class TestSpecialFunctions:
         err = np.abs(lhs - np.log(xs)) / np.maximum(1.0, np.abs(np.log(xs)))
         assert err.max() < 1e-10
 
+    def test_lgamma_matches_scipy_gammaln(self):
+        rng = np.random.default_rng(19)
+        xs = 10.0 ** rng.uniform(-3, 6, size=10_000)
+        ref = scipy.special.gammaln(xs)
+        err = np.abs(ad.lgamma(xs).data - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 4e-15
+
+    def test_lgamma_overflows_to_inf(self):
+        # math.lgamma raises OverflowError there; gammaln returns +inf.
+        big = [2.6e305, 1e306, np.finfo(float).max]
+        out = ad.lgamma(np.array([2.0, *big])).data
+        assert out[0] == 0.0
+        assert np.all(out[1:] == np.inf)
+        for x in big:
+            assert ad.lgamma(x).item() == np.inf
+
+    def test_lgamma_subnormal_is_finite(self):
+        # ln Gamma(x) ~ -ln x for tiny x; gammaln returns +inf for subnormals.
+        xs = np.array([5e-324, 1e-310])
+        assert np.all(scipy.special.gammaln(xs) == np.inf)
+        np.testing.assert_allclose(ad.lgamma(xs).data, -np.log(xs), rtol=1e-15)
+
     def test_lgamma_rejects_nonpositive(self):
         for bad in (0.0, -1.5, np.array([1.0, np.inf]), np.array([np.nan])):
             with pytest.raises(ValueError):

@@ -355,6 +355,27 @@ class TestEval:
             "error: bad checkpoint: non-finite value in parameter head.W\n")
         assert not (tmp_path / "m.csv").exists()
 
+    def test_overflowing_checkpoint_exits_1_with_one_line(self, tmp_path,
+                                                          tiny_data):
+        # Finite head weights of 1.5e308 pass load_checkpoint but overflow
+        # the head; numpy's overflow warnings must not reach stderr, and no
+        # metrics file is written.
+        from uga.models import load_checkpoint, save_checkpoint
+        run = run_train(tmp_path, tiny_data)
+        ckpt = run / "checkpoint.bin"
+        bundle = load_checkpoint(ckpt)
+        bundle.params["head.W"].data[:] = 1.5e308
+        save_checkpoint(bundle, ckpt)
+        proc = subprocess.run(
+            [sys.executable, "-m", "uga.cli", "eval", "--checkpoint", str(ckpt),
+             "--data", str(tiny_data / "target.csv"),
+             "--out", str(tmp_path / "m.csv"), "--task", "t", "--method", "m"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("eval failed: ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
+
 
 class TestGradcheck:
     def test_passing_build(self, capsys):

@@ -246,20 +246,55 @@ class TestPredictiveInterval:
         assert hi.tobytes() == (gamma + q * scale).tobytes()
 
 
-def loaded_by_package_import(module):
-    # uga.cli imports every module of the package.
+def run_fresh(script):
+    """stdout of `script` run in a new interpreter that imports this uga."""
     src_dir = str(Path(uga.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, uga.cli; print({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    return proc.stdout.strip()
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def loaded_by_package_import(module):
+    # uga.cli imports every module of the package.
+    return run_fresh(f"import sys, uga.cli; print({module!r} in sys.modules)").strip()
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
     assert loaded_by_package_import("scipy.stats") == "False"
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    assert loaded_by_package_import("scipy.special") == "False"
+
+
+def test_package_import_leaves_scipy_unloaded():
+    assert loaded_by_package_import("scipy") == "False"
+
+
+def test_only_predictive_interval_loads_scipy_special():
+    # Training and the gradient suites read ln Gamma from math.lgamma; only
+    # the interval's Student-t quantile needs scipy.special.
+    script = """
+import sys
+import numpy as np
+from uga import gradcheck
+from uga.data import LabeledSet
+from uga.evidential import NigOutput, predictive_interval
+from uga.models import MlpSpec
+from uga.train import TrainConfig, train_uga
+rng = np.random.default_rng(0)
+source = LabeledSet(rng.normal(size=(40, 2)), rng.normal(size=40))
+train_uga(source, rng.normal(size=(40, 2)),
+          TrainConfig(alignment="uga_posterior", iterations=3, batch_size=16),
+          MlpSpec(layer_widths=(2, 8, 4)))
+gradcheck.suite_nll(points=4)
+print("scipy.special" in sys.modules)
+predictive_interval(NigOutput.from_values(0.0, 1.0, 2.0, 1.0), 0.9)
+print("scipy.special" in sys.modules)
+"""
+    assert run_fresh(script).split() == ["False", "True"]
 
 
 def test_package_import_leaves_scipy_spatial_unloaded():

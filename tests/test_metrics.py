@@ -127,6 +127,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             mt.evaluate(trained_stub(), LabeledSet(np.zeros((0, 2)), np.zeros(0)))
 
+    def test_empty_reference_rejected(self):
+        with pytest.raises(ValueError, match="^empty reference set$"):
+            mt.evaluate(trained_stub(), toy_set(),
+                        reference_inputs=np.empty((0, 2)))
+
     @pytest.mark.parametrize("n, labels", [(1, [0.3]), (5, [0.3] * 5)])
     def test_undefined_r2_is_none(self, n, labels):
         # one row, or constant labels: R^2 is undefined, the rest is scored

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -383,3 +384,35 @@ def test_battery_lstm_bits_independent_of_blas_threads(tmp_path, alignment):
     blobs = _checkpoints_under_1_and_2_threads(_BATTERY_THREAD_RUN, tmp_path,
                                                alignment)
     assert blobs[0] == blobs[1]
+
+
+# 200 iterations at the cubic benchmark's MLP shape (batch 128, hidden 128)
+# in a fresh process, which has freed no large block before train_uga runs.
+_FAULT_RUN = """
+import resource
+import numpy as np
+from uga.data import LabeledSet
+from uga.models import MlpSpec
+from uga.train import TrainConfig, train_uga
+
+rng = np.random.default_rng(0)
+src = LabeledSet(rng.normal(size=(512, 1)), rng.uniform(size=512))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_uga(src, np.empty((0, 1)), TrainConfig(iterations=200, batch_size=128),
+          MlpSpec(layer_widths=(1, 128, 128)))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="tests glibc malloc's dynamic mmap threshold")
+def test_training_activations_are_not_mapped_afresh():
+    # Each (128, 128) activation mapped and unmapped on its own costs fresh
+    # page faults every iteration: about 31,600 over this run, against about
+    # 730 once a larger block has been freed.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(uga.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_RUN], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 5000
