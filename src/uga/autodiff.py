@@ -37,7 +37,7 @@ class DomainError(ValueError):
     """Input values fall outside the operation's mathematical domain."""
 
 
-# Floats per row chunk of unrecorded mmd blocks and median_bandwidth's screen.
+# Floats per chunk: unrecorded mmd rows, median_bandwidth's screen, lstm's BPTT.
 BLOCK_FLOATS = 1 << 16
 
 _node_ids = itertools.count()
@@ -517,16 +517,18 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
 
     `layers` holds one (Wx (in, 4h), Wh (h, 4h), b (1, 4h)) triple per
     layer, gate blocks ordered input, forget, cell, output; h and c start
-    at zero.  The input, forget and output columns of Wx, Wh and b are
-    halved once per call, so each step takes one tanh over all 4h
-    pre-activation columns and maps the sigmoid gates to tanh/2 + 1/2, the
-    form of `sigmoid`.  Halving is exact, so the forward values are
-    bit-identical to the per-step composition of matmul, slice_last,
-    sigmoid, tanh, mul and add.  A recorded call projects all T steps'
-    inputs with one stacked (T, B, in) @ (in, 4h) matmul and keeps each
-    step's gates, i g, f c and tanh c; an unrecorded call runs the same
-    code one step at a time, so it holds one step's buffers.  Backward is plain
-    backpropagation through time over them, which agrees with the per-step
+    at zero.  Each call restacks Wx, Wh and b gate-major as (4, ., h)
+    stacks, halving the input, forget and output gates, so a step takes one
+    stacked h Wh matmul and one tanh over contiguous (4, B, h) gate slabs
+    and maps the sigmoid gates to tanh/2 + 1/2, the form of `sigmoid`.
+    Halving is exact and each gate column sums the same products, so the
+    forward values are bit-identical to the per-step composition of matmul,
+    slice_last, sigmoid, tanh, mul and add.  A recorded call projects all T
+    steps' inputs with one stacked matmul straight into its gate history and
+    keeps each step's gates, i g, f c and tanh c; an unrecorded call runs
+    the same code with one step of history.  Backward is plain
+    backpropagation through time over them, with the gates' (1 - a) factor
+    applied in time blocks of BLOCK_FLOATS; it agrees with the per-step
     tape's gradients to rounding.
     """
     x = _as_tensor(x)
@@ -549,20 +551,22 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
     record = _grad_enabled and any(p.requires_grad for p in parents)
 
     seq = np.ascontiguousarray(x.data.transpose(1, 0, 2))  # (T, B, in)
-    kept = steps if record else 1   # steps of gate history and projections held
+    kept = steps if record else 1   # steps of gate history held
     cache = []
     for Wx, Wh, b in triples:
         h = Wh.data.shape[0]
-        # Per gate column: pre-activation scale, then tanh -> activation as
-        # t * scale + (1 - scale): sigmoid on i, f, o and tanh on g.  Full (B,
-        # 4h) rows: numpy runs same-shape operands faster than a broadcast row.
-        scale = np.full((batch, 4 * h), 0.5)
-        scale[:, 2 * h:3 * h] = 1.0
+        # Gate-major stacks, slabs i, f, g, o: pre-activation scale, then tanh
+        # -> activation as t * scale + (1 - scale): sigmoid on i, f, o, tanh on
+        # g.  Full slabs: numpy runs same-shape operands faster than a broadcast.
+        scale = np.full((4, batch, h), 0.5)
+        scale[2] = 1.0
         shift = 1.0 - scale
-        wx, wh, bias = (p.data * scale[0] for p in (Wx, Wh, b))
+        wx, wh, bias = (np.ascontiguousarray(p.data.reshape(-1, 4, h).transpose(
+            1, 0, 2)) * scale[:, :1] for p in (Wx, Wh, b))
         hs = np.zeros((steps + 1, batch, h))   # hs[t + 1] is h_t; hs[0] = 0
         c = np.zeros((batch, h))
-        gates = np.empty((kept, batch, 4 * h))
+        rec = np.empty((4, batch, h))          # h_{t-1} Wh, per gate
+        gates = np.empty((kept, 4, batch, h))
         ig = np.empty((kept, batch, h))        # i_t g_t
         fc = np.empty((kept, batch, h))        # f_t c_{t-1}
         tanh_c = np.empty((kept, batch, h))
@@ -570,20 +574,20 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
         # as a gemv, which rounds differently from the gemm at batch 1.
         for t in range(steps):
             k = t % kept
-            if k == 0:   # project the next `kept` steps' inputs
-                proj = seq[t:t + kept] @ wx
-                proj += bias
+            if k == 0:   # project the next `kept` steps' inputs into the gates
+                np.matmul(seq[t:t + kept, None], wx, out=gates)
+                gates += bias
             act = gates[k]
-            np.matmul(hs[t], wh, out=act)
-            act += proj[k]
+            np.matmul(hs[t], wh, out=rec)
+            act += rec
             np.tanh(act, out=act)
             act *= scale
             act += shift
-            np.multiply(act[:, h:2 * h], c, out=fc[k])
-            np.multiply(act[:, :h], act[:, 2 * h:3 * h], out=ig[k])
+            np.multiply(act[1], c, out=fc[k])
+            np.multiply(act[0], act[2], out=ig[k])
             np.add(fc[k], ig[k], out=c)
             np.tanh(c, out=tanh_c[k])
-            np.multiply(act[:, 3 * h:], tanh_c[k], out=hs[t + 1])
+            np.multiply(act[3], tanh_c[k], out=hs[t + 1])
         if record:
             cache.append((seq, hs, gates, ig, fc, tanh_c))
         seq = hs[1:]
@@ -596,20 +600,23 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
             Wx, Wh, _ = triples[layer]
             inp, hs, gates, ig, fc, tanh_c = cache[layer]
             h = Wh.data.shape[0]
-            by_gate = gates.reshape(steps, batch, 4, h)
             # d act / d pre is (1 - a) a on the sigmoid gates and
             # (1 - g)(1 + g) on the cell gate.  Times the factor each gate
             # meets in c_t = f c_{t-1} + i g and h_t = o tanh(c_t), that is
             # (1 - a) times [i g, f c_{t-1}, i + i g, h_t]: d c_t / d pre
-            # for i, f, g and d h_t / d pre for o.  The loop scales step t
-            # in place into d loss / d pre_t.
-            dpres = np.concatenate([ig, fc, by_gate[:, :, 0] + ig, hs[1:]],
-                                   axis=-1)
-            dpres *= 1.0 - gates
+            # for i, f, g and d h_t / d pre for o.  (1 - a) is applied in
+            # time blocks of at most BLOCK_FLOATS; the loop scales step t in
+            # place into d loss / d pre_t.
+            dpres = np.empty((steps, batch, 4 * h))
+            by_gate = dpres.reshape(steps, batch, 4, h)
+            by_gate[:, :, 0], by_gate[:, :, 1], by_gate[:, :, 3] = ig, fc, hs[1:]
+            np.add(gates[:, 0], ig, out=by_gate[:, :, 2])
+            span = max(1, BLOCK_FLOATS // gates[0].size)
+            for t in range(0, steps, span):
+                by_gate[t:t + span] *= (1.0 - gates[t:t + span]).transpose(0, 2, 1, 3)
             # d h_t / d c_t = o (1 - tanh^2 c_t) = o - h_t tanh c_t
             dc_dh = hs[1:] * tanh_c
-            np.subtract(by_gate[:, :, 3], dc_dh, out=dc_dh)
-            f_g = by_gate[:, :, 1]
+            np.subtract(gates[:, 3], dc_dh, out=dc_dh)
             carry = np.empty((batch, 4 * h))         # [dc, dc, dc, dh]
             carry_by_gate = carry.reshape(batch, 4, h)
             dh = grad if d_in is None else d_in[-1]
@@ -620,7 +627,7 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
                 carry_by_gate[:, 3] = dh
                 dpre = dpres[t]
                 dpre *= carry
-                dc *= f_g[t]
+                dc *= gates[t, 1]
                 dh = dpre @ Wh.data.T
                 if d_in is not None and t > 0:
                     dh += d_in[t - 1]

@@ -32,11 +32,13 @@ def central_difference(
         g = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
-            hi = f()
-            flat[i] = orig - h
-            lo = f()
-            flat[i] = orig
+            try:
+                flat[i] = orig + h
+                hi = f()
+                flat[i] = orig - h
+                lo = f()
+            finally:
+                flat[i] = orig
             g[i] = (hi - lo) / (2.0 * h)
         grads.append(g.reshape(leaf.data.shape))
     return grads

@@ -118,6 +118,8 @@ class MetricsReport:
     posterior_gap: float | None
 
     def __post_init__(self):
+        if not np.isfinite([self.mae, self.mse, self.r2 or 0.0]).all():
+            raise ValueError("mae, mse and r2 must be finite")
         if self.mae < 0 or self.mse < 0:
             raise ValueError("mae and mse must be nonnegative")
         if self.r2 is not None and self.r2 > 1.0:

@@ -376,3 +376,20 @@ def test_determinism_bit_identical():
     assert v1 == v2
     for a, b in zip(g1, g2):
         assert np.array_equal(a, b)
+
+
+def test_central_difference_restores_leaf_when_f_raises():
+    leaf = ad.param(np.random.default_rng(5).normal(size=(2, 3)))
+    before = leaf.data.tobytes()
+    calls = []
+
+    def f():
+        calls.append(None)
+        if len(calls) == 2:   # the first entry's "orig - h" probe
+            raise RuntimeError("probe failed")
+        return float(np.sum(leaf.data))
+
+    with pytest.raises(RuntimeError, match="probe failed"):
+        gc.central_difference(f, [leaf])
+    assert len(calls) == 2
+    assert leaf.data.tobytes() == before

@@ -376,6 +376,26 @@ class TestEval:
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "m.csv").exists()
 
+    def test_infinite_mae_exits_1_with_one_line(self, tmp_path, tiny_data):
+        # A huge gamma column keeps every prediction finite (below 1e308),
+        # but the mean absolute error overflows to inf; no metrics row with
+        # mae=inf may be written.
+        from uga.models import load_checkpoint, save_checkpoint
+        run = run_train(tmp_path, tiny_data)
+        ckpt = run / "checkpoint.bin"
+        bundle = load_checkpoint(ckpt)
+        bundle.params["head.W"].data[:, 0] = 1.5e308
+        save_checkpoint(bundle, ckpt)
+        proc = subprocess.run(
+            [sys.executable, "-m", "uga.cli", "eval", "--checkpoint", str(ckpt),
+             "--data", str(tiny_data / "target.csv"),
+             "--out", str(tmp_path / "m.csv"), "--task", "t", "--method", "m"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "eval failed: mae, mse and r2 must be finite\n"
+        assert proc.stdout == ""
+        assert not (tmp_path / "m.csv").exists()
+
 
 class TestGradcheck:
     def test_passing_build(self, capsys):

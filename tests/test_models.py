@@ -435,7 +435,7 @@ def _seq_forward_ref(w, bundle):
 
 class TestFusedLstm:
     @pytest.mark.parametrize("num_layers", [1, 2])
-    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 32, 64])
     def test_bit_identical_to_per_step_tape(self, num_layers, batch):
         """Forward bytes equal the per-step tape's; gradients agree within
         1e-12 of each gradient's largest entry."""
@@ -487,6 +487,25 @@ class TestFusedLstm:
         finally:
             tracemalloc.stop()
         assert peak < steps * batch * 4 * h * 8 / 2
+
+    def test_recorded_call_and_backward_hold_no_whole_sequence_copies(self):
+        """A recorded call keeps its gate history (one (T, B, 4h) array)
+        plus i g, f c, tanh c and h (one more); backward adds the (T, B, 4h)
+        gate derivatives and one (T, B, h) factor.  Projecting into the gate
+        history and applying (1 - a) in time blocks keeps the peak under 3.6
+        such arrays; a separate projection, a concatenation and a whole
+        `1 - gates` would add about one more."""
+        batch, steps, h = 64, 100, 16
+        bundle = build_bundle(SeqEncoderSpec(num_layers=1, hidden_dim=h,
+                                             input_dim=3, window_len=steps), seed=0)
+        w = np.random.default_rng(0).normal(size=(batch, steps, 3))
+        tracemalloc.start()
+        try:
+            ad.backward(ad.sum(seq_forward(w, bundle)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * steps * batch * 4 * h * 8
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
