@@ -26,7 +26,7 @@ __all__ = [
     "add", "sub", "mul", "div", "pow", "exp", "log", "tanh",
     "sigmoid", "softplus", "abs", "sum", "mean", "add_row",
     "concat", "slice_last", "slice_rows", "matmul", "transpose", "reshape",
-    "lgamma", "lstm", "mmd", "backward", "ones", "zeros",
+    "lgamma", "nig", "nig_nll", "lstm", "mmd", "backward", "ones", "zeros",
 ]
 
 class ShapeError(ValueError):
@@ -323,22 +323,22 @@ _DIGAMMA_SERIES = (-1.0 / 12.0, 1.0 / 120.0, -1.0 / 252.0, 1.0 / 240.0,
 _DIGAMMA_SHIFT = 10.0
 
 
-# scipy.special.psi is about 50x faster but rounds differently, and these
-# bits reach every evidential gradient: the swap waits until the headline
-# gate is shown to survive float perturbations (ROADMAP item 1).
+# scipy.special.psi is about 30x faster (4.6 against 135 us on 256 entries in
+# [1, 12), one x86 core) but rounds differently, and these bits reach every
+# evidential gradient: the swap waits on the gate's margin (ROADMAP item 1).
 def _digamma(x: np.ndarray) -> np.ndarray:
-    """psi(x) = d/dx ln Gamma(x) for an array x > 0, accurate to ~1e-13 on
-    [1e-3, 1e6]: upward recurrence psi(x) = psi(x+1) - 1/x until x >= 10,
-    then the Bernoulli asymptotic series through 1/x^14.
+    """psi(x) = d/dx ln Gamma(x), elementwise over an array x > 0, accurate
+    to ~1e-13 on [1e-3, 1e6]: upward recurrence psi(x) = psi(x+1) - 1/x
+    until x >= 10, then the Bernoulli asymptotic series through 1/x^14.
     """
     work = np.array(x, ndmin=1)   # a copy: the loop updates it in place
     acc = np.zeros_like(work)
-    while True:
-        mask = work < _DIGAMMA_SHIFT
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / work[mask]
-        work[mask] += 1.0
+    inv = np.empty_like(work)
+    mask = work < _DIGAMMA_SHIFT
+    while mask.any():
+        np.subtract(acc, np.divide(1.0, work, out=inv, where=mask), out=acc, where=mask)
+        np.add(work, 1.0, out=work, where=mask)
+        np.less(work, _DIGAMMA_SHIFT, out=mask)
     inv2 = 1.0 / (work * work)
     series = np.zeros_like(work)
     power = inv2.copy()
@@ -366,17 +366,19 @@ def lgamma(a) -> Tensor:
     a = _as_tensor(a)
     if np.any(~np.isfinite(a.data)) or np.any(a.data <= 0.0):
         raise DomainError("lgamma requires strictly positive finite input")
-    n = a.data.size
-    try:
-        out = np.fromiter(map(math.lgamma, a.data.flat), np.float64, n)
-    except OverflowError:
-        out = np.fromiter(map(_lgamma_or_inf, a.data.flat), np.float64, n)
-    out = out.reshape(a.data.shape)
 
     def backward_fn(g):
         return (g * _digamma(a.data),)
 
-    return Tensor._from_op(out, (a,), backward_fn)
+    return Tensor._from_op(_lgamma(a.data), (a,), backward_fn)
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    try:
+        out = np.fromiter(map(math.lgamma, x.flat), np.float64, x.size)
+    except OverflowError:
+        out = np.fromiter(map(_lgamma_or_inf, x.flat), np.float64, x.size)
+    return out.reshape(x.shape)
 
 
 # -- reductions and structure ------------------------------------------------
@@ -507,6 +509,80 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(a.data.shape),)
 
     return Tensor._from_op(a.data.reshape(shape).copy(), (a,), backward_fn)
+
+
+# -- fused evidential head and loss -------------------------------------------
+
+def nig(raw) -> Tensor:
+    """NIG parameters [gamma, nu, alpha, beta] from (B, 4) raw head outputs
+    as one (B, 4) node: raw_0, softplus(raw_1), softplus(raw_2) + 1 + 1e-15
+    and softplus(raw_3), with the bits of the slice_last, softplus and add
+    composition it replaces.  Its gradient goes through + 0.0, as the sum of
+    the four zero-padded slice gradients did.
+    """
+    raw = _as_tensor(raw)
+    if raw.data.ndim != 2 or raw.data.shape[1] != 4:
+        raise ShapeError(f"nig needs a (B, 4) tensor, got {raw.data.shape}")
+    x = raw.data[:, 1:].copy()
+    out = np.array(raw.data, order="C")
+    out[:, 1:] = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    # The extra 1e-15 keeps alpha strictly above 1 even when softplus
+    # underflows (raw_2 < -37 makes 1 + softplus round to exactly 1.0).
+    out[:, 2] += 1.0 + 1e-15
+
+    def backward_fn(g):
+        return (g * np.hstack([np.ones((len(x), 1)), _sigmoid(x)]) + 0.0,)
+
+    return Tensor._from_op(out, (raw,), backward_fn)
+
+
+def nig_nll(y, gamma, nu, alpha, beta, lambda_evi: float) -> Tensor:
+    """Per-sample NIG negative log-likelihood (see `evidential.nll_loss`) of
+    (B, 1) columns against constant labels y, plus lambda_evi |y - gamma|
+    (2 nu + alpha) when lambda_evi != 0, as one (B, 1) node.
+
+    Forward and backward repeat in order the float expressions of the sub,
+    mul, add, log, lgamma and abs composition it replaces, so value and
+    gradients keep its bits; ln Gamma and psi each run once over alpha
+    stacked on alpha + 1/2.  A column is a parent once per op that consumed
+    it there, last consumer first, so the engine adds its contributions in
+    the composition's order, also after those of a later concat.
+    """
+    gamma, nu, alpha, beta = (_as_tensor(t) for t in (gamma, nu, alpha, beta))
+    y, c, n, a, b = (_as_tensor(y).data, gamma.data, nu.data, alpha.data, beta.data)
+    if n.ndim != 2 or n.shape[1] != 1 or any(v.shape != n.shape for v in (y, c, a, b)):
+        raise ShapeError("nig_nll needs (B, 1) operands, got "
+                         f"{[v.shape for v in (y, c, n, a, b)]}")
+    if not (np.isfinite(a).all() and (a > 0).all() and (n > 0).all() and (b > 0).all()):
+        raise DomainError("nig_nll needs finite alpha > 0, nu > 0 and beta > 0")
+    batch, lam = n.shape[0], float(lambda_evi)
+    two_beta, one_nu, resid, a_half = b * 2.0, n + 1.0, y - c, a + 0.5
+    omega, sq, stack = two_beta * one_nu, resid * resid, np.concatenate([a, a_half])
+    inner = sq * n + omega
+    lg, log_omega, log_inner = _lgamma(stack), np.log(omega), np.log(inner)
+    out = ((math.log(math.pi) - np.log(n)) * 0.5 - a * log_omega + lg[:batch]
+           - lg[batch:] + a_half * log_inner)
+    parents = (nu, alpha, alpha, alpha, alpha, nu, gamma, nu, beta)
+    if lam != 0.0:
+        dist, weight = np.abs(resid), n * 2.0 + a
+        out = out + (dist * weight) * lam
+        parents = (alpha, nu, gamma) + parents
+
+    def backward_fn(g):
+        psi = _digamma(stack)
+        neg = -g
+        g_inner = (g * a_half) / inner
+        g_resid = (g_inner * n) * resid
+        g_omega = g_inner + (neg * a) / omega
+        grads = (g_inner * sq, g * log_inner, neg * psi[batch:], g * psi[:batch],
+                 neg * log_omega, -(g * 0.5) / n, -(g_resid + g_resid),
+                 g_omega * two_beta, (g_omega * one_nu) * 2.0)
+        if lam == 0.0:
+            return grads
+        g_weight, g_dist = (g * lam) * dist, (g * lam) * weight
+        return (g_weight, g_weight * 2.0, -(g_dist * np.sign(resid)), *grads)
+
+    return Tensor._from_op(out, parents, backward_fn)
 
 
 # -- fused recurrent encoder -------------------------------------------------
@@ -658,9 +734,11 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
     gradients added last bandwidth first, and the input gradients added
     block by block (xy, yy, xx), each block as the cross term, its
     transpose, then the squared norms of its right and left operand, each
-    added twice.  Kernel matrices are kept only when the call is recorded;
-    otherwise each block runs in row chunks of BLOCK_FLOATS entries, adding
-    up their column sums: the bits differ only for blocks of several chunks.
+    added twice.  A recorded call keeps each block's kernels in one
+    (bandwidths, rows, cols) stack that backward only reads; otherwise each
+    block runs in row chunks of BLOCK_FLOATS entries through one buffer,
+    adding up their column sums: the bits differ only for blocks of several
+    chunks.
     """
     x, y = _as_tensor(x), _as_tensor(y)
     if x.data.ndim != 2 or y.data.ndim != 2 or x.data.shape[1] != y.data.shape[1]:
@@ -672,7 +750,7 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
     if not bandwidths or any(not s2 > 0 for s2 in bandwidths):
         raise ValueError("mmd needs at least one positive bandwidth")
     record = _grad_enabled and (x.requires_grad or y.requires_grad)
-    coefs = [-1.0 / (2.0 * s2) for s2 in bandwidths]
+    coefs = np.array([-1.0 / (2.0 * s2) for s2 in bandwidths])
     col = np.ones((x.data.shape[1], 1))
     sqx = (x.data * x.data) @ col
     sqy = (y.data * y.data) @ col
@@ -681,26 +759,27 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
               (x.data, x.data, sqx, sqx))
 
     means = []     # per block: the bandwidths' kernel means
-    cache = []     # per block: (b^T, kernel matrices) when recorded
+    cache = []     # per block: (b^T, kernel stack) when recorded
     for a, b, sqa, sqb in blocks:
         bt = b.T.copy()
         rows, cols = a.shape[0], b.shape[0]
         step = rows if record else max(1, BLOCK_FLOATS // cols)
         buf = None if record else np.empty(min(step, rows) * cols)
         sums = [None] * len(coefs)   # per bandwidth: (1, cols) column sums
-        kernels = []
         for start in range(0, rows, step):
             dist = a[start:start + step] @ bt
             dist *= 2.0
             np.subtract(sqa[start:start + step] + sqb.T, dist, out=dist)
+            if record:   # the bank's kernels in one stack, kept for backward
+                kernels = np.multiply(dist, coefs[:, None, None])
+                np.exp(kernels, out=kernels)
             for i, c in enumerate(coefs):
-                # Recorded kernels are kept for backward; otherwise reuse buf.
-                k = np.multiply(dist, c, out=None if record else
-                                buf[:dist.size].reshape(dist.shape))
-                np.exp(k, out=k)
+                k = kernels[i] if record else np.multiply(
+                    dist, c, out=buf[:dist.size].reshape(dist.shape))
+                if not record:
+                    np.exp(k, out=k)
                 part = np.ones((1, k.shape[0])) @ k
                 sums[i] = part if sums[i] is None else sums[i] + part
-                kernels.append(k)
         inv = 1.0 / (rows * cols)
         means.append([(s @ np.ones((cols, 1))).reshape(()) * inv for s in sums])
         cache.append((bt, kernels) if record else None)
@@ -715,8 +794,10 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
         grads = {x: None, y: None}   # one entry when x is y
 
         def push(t, contribution):
-            acc = grads[t]
-            grads[t] = contribution if acc is None else acc + contribution
+            if grads[t] is None:   # a fresh product, made C-ordered to add into
+                grads[t] = np.ascontiguousarray(contribution)
+            else:
+                grads[t] += contribution
 
         for i, ((a, b, _, _), (bt, kernels), ta, tb) in enumerate(
                 zip(blocks, cache, (x, y, x), (y, y, x))):
@@ -725,13 +806,16 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
             rows, cols = a.shape[0], b.shape[0]
             # d(out)/d(kernel sum): the xy means enter the bank sum as -2 mean
             v = (g_term if i else (-g_term) * 2.0) * (1.0 / (rows * cols))
-            gd = None
-            for k, c in zip(reversed(kernels), reversed(coefs)):
-                t = (v * k) * c
-                gd = t if gd is None else gd + t
+            # Bandwidth-weighted kernels, summed last bandwidth first, in a
+            # scratch stack: the cached kernels stay as they are.
+            weighted = kernels * v
+            weighted *= coefs[:, None, None]
+            gd = weighted[-1]
+            for t in weighted[-2::-1]:
+                gd += t
             g_sqa = (np.ones((1, cols)) @ gd.T).T
             g_sqb = (np.ones((rows, 1)).T @ gd).T
-            g_cross = (-gd) * 2.0
+            g_cross = np.multiply(np.negative(gd, out=gd), 2.0, out=gd)
             if ta.requires_grad:
                 # (B g^T)^T keeps the batch on the output's column axis, as
                 # matmul's backward does, so BLAS threads cannot change bits.

@@ -21,7 +21,6 @@ __all__ = [
     "NigOutput",
     "nig_from_raw",
     "nll_loss",
-    "evidence_regularizer",
     "evidential_loss",
     "uncertainties",
     "predictive_interval",
@@ -43,15 +42,14 @@ class NigOutput:
     beta: ad.Tensor
 
     def __post_init__(self):
-        for name, t in (("gamma", self.gamma), ("nu", self.nu),
-                        ("alpha", self.alpha), ("beta", self.beta)):
-            if not np.all(np.isfinite(t.data)):
+        for name in ("gamma", "nu", "alpha", "beta"):
+            if not np.isfinite(getattr(self, name).data).all():
                 raise ValueError(f"non-finite {name} in NigOutput")
-        if np.any(self.nu.data <= 0):
+        if (self.nu.data <= 0).any():
             raise ValueError("NigOutput requires nu > 0")
-        if np.any(self.alpha.data <= 1):
+        if (self.alpha.data <= 1).any():
             raise ValueError("NigOutput requires alpha > 1")
-        if np.any(self.beta.data <= 0):
+        if (self.beta.data <= 0).any():
             raise ValueError("NigOutput requires beta > 0")
 
     @classmethod
@@ -78,36 +76,31 @@ def _as_column_array(v) -> np.ndarray:
     return a
 
 
-def _as_column_tensor(y, batch_size: int) -> ad.Tensor:
+def _labels(y, batch_size: int) -> np.ndarray:
     a = _as_column_array(y)
     if a.shape[0] == 1 and batch_size > 1:
         a = np.broadcast_to(a, (batch_size, 1)).copy()
     if a.shape[0] != batch_size:
         raise ad.ShapeError(f"{a.shape[0]} labels for batch of {batch_size}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("labels must be finite")
-    return ad.constant(a)
+    return a
 
 
 def nig_from_raw(raw: ad.Tensor) -> NigOutput:
     """Map the (B, 4) tensor of raw head outputs to valid NIG parameters.
 
     gamma = raw[:,0]; nu = softplus(raw[:,1]); alpha = softplus(raw[:,2]) + 1;
-    beta = softplus(raw[:,3]).  alpha > 1 holds for any finite raw input;
-    softplus underflows to 0 below about -745, so a raw nu or beta column
-    that low fails NigOutput's nu > 0 / beta > 0 check with a ValueError.
+    beta = softplus(raw[:,3]), the columns of one `ad.nig` node.  alpha > 1
+    holds for any finite raw input; softplus underflows to 0 below -745, so
+    a raw nu or beta that low fails NigOutput's check with a ValueError.
     """
     if len(raw.shape) != 2 or raw.shape[1] != 4:
         raise ad.ShapeError(f"raw head output must be (B, 4), got {raw.shape}")
-    if not np.all(np.isfinite(raw.data)):
+    if not np.isfinite(raw.data).all():
         raise ValueError("non-finite raw head output")
-    gamma = ad.slice_last(raw, 0, 1)
-    nu = ad.softplus(ad.slice_last(raw, 1, 2))
-    # The extra 1e-15 keeps alpha strictly above 1 even when softplus
-    # underflows (raw[2] < -37 makes 1 + softplus round to exactly 1.0).
-    alpha = ad.softplus(ad.slice_last(raw, 2, 3)) + (1.0 + 1e-15)
-    beta = ad.softplus(ad.slice_last(raw, 3, 4))
-    return NigOutput(gamma, nu, alpha, beta)
+    block = ad.nig(raw)
+    return NigOutput(*(ad.slice_last(block, i, i + 1) for i in range(4)))
 
 
 def nll_loss(y, p: NigOutput) -> ad.Tensor:
@@ -116,36 +109,19 @@ def nll_loss(y, p: NigOutput) -> ad.Tensor:
     0.5*log(pi/nu) - alpha*log(2*beta*(1+nu)) + lgamma(alpha)
     - lgamma(alpha+0.5) + (alpha+0.5)*log((y-gamma)^2*nu + 2*beta*(1+nu))
     """
-    y = _as_column_tensor(y, p.batch_size)
-    gamma, nu, alpha, beta = p.gamma, p.nu, p.alpha, p.beta
-    omega = 2.0 * beta * (1.0 + nu)
-    resid = y - gamma
-    return (
-        0.5 * (math.log(math.pi) - ad.log(nu))
-        - alpha * ad.log(omega)
-        + ad.lgamma(alpha)
-        - ad.lgamma(alpha + 0.5)
-        + (alpha + 0.5) * ad.log(resid * resid * nu + omega)
-    )
-
-
-def evidence_regularizer(y, p: NigOutput) -> ad.Tensor:
-    """Per-sample evidence penalty |y - gamma| * (2*nu + alpha), shape (B, 1)."""
-    y = _as_column_tensor(y, p.batch_size)
-    return ad.abs(y - p.gamma) * (2.0 * p.nu + p.alpha)
+    return ad.nig_nll(_labels(y, p.batch_size), p.gamma, p.nu, p.alpha, p.beta, 0.0)
 
 
 def evidential_loss(ys, ps: NigOutput, lambda_evi: float = 1.0) -> ad.Tensor:
-    """Batch mean of nll_loss + lambda_evi * evidence_regularizer (scalar)."""
+    """Batch mean of the per-sample NLL plus lambda_evi times the evidence
+    penalty |y - gamma| * (2*nu + alpha) (scalar)."""
     # Comparisons with nan are false, so this bound also rejects nan.
     if not 0 <= lambda_evi < math.inf:
         raise ValueError(f"lambda_evi must be finite and >= 0, got {lambda_evi!r}")
     if ps.batch_size < 1:
         raise ValueError("empty batch")
-    per_sample = nll_loss(ys, ps)
-    if lambda_evi != 0.0:
-        per_sample = per_sample + lambda_evi * evidence_regularizer(ys, ps)
-    return ad.mean(per_sample)
+    return ad.mean(ad.nig_nll(_labels(ys, ps.batch_size), ps.gamma, ps.nu,
+                              ps.alpha, ps.beta, lambda_evi))
 
 
 def uncertainties(p: NigOutput) -> tuple[np.ndarray, np.ndarray]:

@@ -413,6 +413,31 @@ class TestFusedMmd:
         self.assert_bits(got, self.run(mmd_tape, X, Y, bw, grad_x, grad_y))
         assert (got[1] is None) != grad_x and (got[2] is None) != grad_y
 
+    @pytest.mark.parametrize("xs, ys", CASES)
+    def test_second_backward_doubles_gradients(self, xs, ys):
+        # Backward only reads the cached kernel stack, so a second walk of
+        # the same graph adds exactly the same gradients again.
+        X, Y, bw = self.samples(67, xs, ys)
+        x, y = ad.param(X), ad.param(Y)
+        loss = ad.mmd(x, y, bw) * 0.37
+        ad.backward(loss)
+        once = x.grad.copy(), y.grad.copy()
+        ad.backward(loss)
+        for got, first in zip((x.grad, y.grad), once):
+            assert got.tobytes() == (first * 2.0).tobytes()
+
+    @pytest.mark.parametrize("grad_x, grad_y, same", [
+        (True, True, False), (True, False, False), (False, True, False),
+        (True, True, True)])
+    def test_gradients_are_c_contiguous(self, grad_x, grad_y, same):
+        X, Y, bw = self.samples(71, (12, 5), (9, 5))
+        x = ad.param(X) if grad_x else ad.constant(X)
+        y = x if same else (ad.param(Y) if grad_y else ad.constant(Y))
+        grads = ad.mmd(x, y, bw)._backward(np.array(1.0))
+        wanted = (grad_x, grad_y and not same)
+        assert [g is not None for g in grads] == list(wanted)
+        assert all(g.flags.c_contiguous for g in grads if g is not None)
+
     def test_same_tensor_both_sides(self):
         X, _, bw = self.samples(53, (16, 5), (16, 5))
         got = self.run(ad.mmd, X, X, bw, same=True)

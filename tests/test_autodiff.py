@@ -154,6 +154,58 @@ class TestSpecialFunctions:
         assert err.max() < 1e-10
 
 
+def digamma_masked(x):
+    """The mask-and-scatter recurrence `ad._digamma` had before its loop ran
+    on `where=` ufuncs: the reference for its bits."""
+    work = np.array(x, ndmin=1)
+    acc = np.zeros_like(work)
+    while True:
+        mask = work < 10.0
+        if not mask.any():
+            break
+        acc[mask] -= 1.0 / work[mask]
+        work[mask] += 1.0
+    inv2 = 1.0 / (work * work)
+    series = np.zeros_like(work)
+    power = inv2.copy()
+    for coeff in (-1.0 / 12.0, 1.0 / 120.0, -1.0 / 252.0, 1.0 / 240.0,
+                  -1.0 / 132.0, 691.0 / 32760.0, -1.0 / 12.0):
+        series += coeff * power
+        power = power * inv2
+    return (acc + np.log(work) - 0.5 / work + series).reshape(x.shape)
+
+
+class TestDigammaBits:
+    # (0, 1e-3], [1, 10) and [10, 1e6]: many recurrence steps, up to nine,
+    # and none before the asymptotic series.
+    GRID = np.concatenate([np.geomspace(1e-300, 1e-3, 701),
+                           np.linspace(1.0, 10.0, 900, endpoint=False),
+                           np.geomspace(10.0, 1e6, 700)])
+
+    def test_grid_matches_masked_recurrence(self):
+        assert ad._digamma(self.GRID).tobytes() == digamma_masked(self.GRID).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2301,), (59, 39), (2301, 1)])
+    def test_mixed_ranges_match_masked_recurrence(self, shape):
+        x = np.random.default_rng(17).permutation(self.GRID).reshape(shape)
+        assert ad._digamma(x).tobytes() == digamma_masked(x).tobytes()
+
+    def test_scalar_input(self):
+        for v in (1e-3, 0.5, 3.0, 10.0, 1e6):
+            x = np.array(v)
+            assert ad._digamma(x).shape == ()
+            assert ad._digamma(x).tobytes() == digamma_masked(x).tobytes()
+
+    def test_stacked_equals_stack_of_parts(self):
+        # nig_nll runs psi once over alpha stacked on alpha + 1/2.
+        rng = np.random.default_rng(19)
+        alpha = rng.uniform(1.0, 12.0, size=(128, 1))
+        for a, b in ((alpha, alpha + 0.5), (self.GRID, rng.permutation(self.GRID))):
+            stacked = ad._digamma(np.concatenate([a, b]))
+            parts = np.concatenate([ad._digamma(a), ad._digamma(b)])
+            assert stacked.tobytes() == parts.tobytes()
+
+
 class TestBackward:
     def test_square(self):
         x = ad.param(3.0)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,6 @@ from uga import autodiff as ad
 from uga import gradcheck as gc
 from uga.evidential import (
     NigOutput,
-    evidence_regularizer,
     evidential_loss,
     nig_from_raw,
     nll_loss,
@@ -31,6 +31,51 @@ LN2 = 0.6931471805599453094172
 
 def unit_nig(gamma=0.0, nu=1.0, alpha=2.0, beta=1.0):
     return NigOutput.from_values(gamma, nu, alpha, beta)
+
+
+# -- the tape compositions that ad.nig and ad.nig_nll replace ----------------
+#
+# They are the reference for the fused ops' bits: values and gradients must
+# match them byte for byte.
+
+def tape_labels(y, batch_size):
+    a = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    return ad.constant(np.broadcast_to(a, (batch_size, 1)).copy())
+
+
+def tape_nig_from_raw(raw):
+    gamma = ad.slice_last(raw, 0, 1)
+    nu = ad.softplus(ad.slice_last(raw, 1, 2))
+    alpha = ad.softplus(ad.slice_last(raw, 2, 3)) + (1.0 + 1e-15)
+    beta = ad.softplus(ad.slice_last(raw, 3, 4))
+    return NigOutput(gamma, nu, alpha, beta)
+
+
+def tape_nll(y, p):
+    y = tape_labels(y, p.batch_size)
+    gamma, nu, alpha, beta = p.gamma, p.nu, p.alpha, p.beta
+    omega = 2.0 * beta * (1.0 + nu)
+    resid = y - gamma
+    return (
+        0.5 * (math.log(math.pi) - ad.log(nu))
+        - alpha * ad.log(omega)
+        + ad.lgamma(alpha)
+        - ad.lgamma(alpha + 0.5)
+        + (alpha + 0.5) * ad.log(resid * resid * nu + omega)
+    )
+
+
+def evidence_regularizer(y, p):
+    """Per-sample evidence penalty |y - gamma| * (2*nu + alpha), shape (B, 1)."""
+    y = tape_labels(y, p.batch_size)
+    return ad.abs(y - p.gamma) * (2.0 * p.nu + p.alpha)
+
+
+def tape_evidential_loss(ys, ps, lambda_evi):
+    per_sample = tape_nll(ys, ps)
+    if lambda_evi != 0.0:
+        per_sample = per_sample + lambda_evi * evidence_regularizer(ys, ps)
+    return ad.mean(per_sample)
 
 
 class TestMapping:
@@ -177,6 +222,128 @@ class TestTotalLoss:
                                    lambda_evi=1.0)
 
         assert gc.compare(build, [raw]) < 1e-5
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestFusedEvidential:
+    """nig_from_raw, nll_loss and evidential_loss against the tape
+    compositions above: the same bytes for values and gradients."""
+
+    @staticmethod
+    def run(mapping, loss, raw_data, ys, consumer):
+        """Loss value, NIG columns and raw gradient of one graph.  `consumer`
+        adds the columns' later use in training: a concat as in the feature
+        arm, or row slices as in the stacked LSTM path."""
+        raw = ad.param(raw_data)
+        p = mapping(raw)
+        later = []
+        if consumer == "slice_rows":
+            n = len(ys)
+            q = NigOutput(*(ad.slice_rows(t, n, 2 * n) for t in (p.gamma, p.nu, p.alpha, p.beta)))
+            p = NigOutput(*(ad.slice_rows(t, 0, n) for t in (p.gamma, p.nu, p.alpha, p.beta)))
+            later = [p, q]
+        elif consumer == "concat":
+            later = [p]
+        value = loss(ys, p)
+        total = ad.sum(value)
+        for head in later:
+            block = ad.concat([head.gamma, head.nu, head.alpha, head.beta])
+            total = total + 0.7 * ad.sum(ad.tanh(block * 0.3))
+        ad.backward(total)
+        return [bits(value.data), raw.grad.tobytes(),
+                *(bits(t.data) for t in (p.gamma, p.nu, p.alpha, p.beta))]
+
+    @staticmethod
+    def raw_data(rows, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(scale=2.0, size=(rows, 4))
+        raw[::3, 1:] *= 20.0   # saturated and underflowing softplus
+        raw[1::4, 2] = -800.0  # alpha's softplus and its slope underflow to 0
+        return raw
+
+    @pytest.mark.parametrize("consumer", ["alone", "concat", "slice_rows"])
+    @pytest.mark.parametrize("lambda_evi", [None, 0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("batch", [1, 32, 128])
+    def test_bits_match_tape(self, batch, lambda_evi, consumer):
+        rows = 2 * batch if consumer == "slice_rows" else batch
+        raw = self.raw_data(rows, batch)
+        ys = np.random.default_rng(batch + 1).normal(size=(batch, 1))
+        if lambda_evi is None:
+            fused, tape = nll_loss, tape_nll
+        else:
+            def fused(y, p):
+                return evidential_loss(y, p, lambda_evi)
+
+            def tape(y, p):
+                return tape_evidential_loss(y, p, lambda_evi)
+        got = self.run(nig_from_raw, fused, raw, ys, consumer)
+        want = self.run(tape_nig_from_raw, tape, raw, ys, consumer)
+        assert got == want
+
+    @pytest.mark.parametrize("trainable", [(0, 1, 2, 3), (0,), (1, 3), (2,)])
+    @pytest.mark.parametrize("lambda_evi", [0.0, 0.1, 1.0])
+    def test_leaf_columns_bits(self, lambda_evi, trainable):
+        rng = np.random.default_rng(41)
+        cols = [rng.normal(size=(32, 1)), rng.uniform(1e-3, 5.0, (32, 1)),
+                rng.uniform(1.0001, 9.0, (32, 1)), rng.uniform(1e-3, 5.0, (32, 1))]
+        ys = rng.normal(size=32)
+        out = []
+        for loss in (evidential_loss, tape_evidential_loss):
+            leaves = [ad.param(c) if i in trainable else ad.constant(c)
+                      for i, c in enumerate(cols)]
+            total = loss(ys, NigOutput(*leaves), lambda_evi)
+            ad.backward(total)
+            out.append([bits(total.data)] + [bits(leaves[i].grad) for i in trainable])
+        assert out[0] == out[1]
+
+    @pytest.mark.parametrize("lambda_evi", [0.0, 0.1, 1.0])
+    def test_constant_inputs_bits(self, lambda_evi):
+        rng = np.random.default_rng(43)
+        p = NigOutput.from_values(rng.normal(size=128), rng.uniform(0.01, 5, 128),
+                                  rng.uniform(1.001, 9, 128), rng.uniform(0.01, 5, 128))
+        ys = rng.normal(size=128)
+        fused = evidential_loss(ys, p, lambda_evi)
+        assert not fused.requires_grad and fused._backward is None
+        assert bits(fused.data) == bits(tape_evidential_loss(ys, p, lambda_evi).data)
+        assert bits(nll_loss(ys, p).data) == bits(tape_nll(ys, p).data)
+        # One label broadcasts over the batch, as before.
+        assert bits(nll_loss(0.5, p).data) == bits(tape_nll(0.5, p).data)
+
+    def test_loss_graph_is_seven_nodes(self):
+        # mean, nig_nll, four column slices and nig above the raw output
+        raw = ad.param(np.zeros((4, 4)))
+        nodes, stack = set(), [evidential_loss(np.ones(4), nig_from_raw(raw), 0.1)]
+        while stack:
+            t = stack.pop()
+            if t._backward is not None and id(t) not in nodes:
+                nodes.add(id(t))
+                stack.extend(t._parents)
+        assert len(nodes) == 7
+
+    @pytest.mark.parametrize("loss", [nll_loss, evidential_loss])
+    def test_bad_labels_rejected(self, loss):
+        p = NigOutput.from_values([0.0, 1.0], 1.0, 2.0, 1.0)
+        with pytest.raises(ad.ShapeError, match="3 labels for batch of 2"):
+            loss(np.zeros(3), p)
+        with pytest.raises(ad.ShapeError, match="expected scalar, vector, or column"):
+            loss(np.zeros((2, 2)), p)
+        with pytest.raises(ValueError, match="labels must be finite"):
+            loss([0.0, np.inf], p)
+
+    def test_ops_reject_bad_inputs(self):
+        with pytest.raises(ad.ShapeError):
+            ad.nig(np.zeros((2, 3)))
+        one = np.ones((2, 1))
+        with pytest.raises(ad.ShapeError):
+            ad.nig_nll(one, one, one, np.ones((3, 1)), one, 1.0)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ad.DomainError):
+                ad.nig_nll(one, one, one * bad, one * 2.0, one, 1.0)
+        with pytest.raises(ad.DomainError):
+            ad.nig_nll(one, one, one, one * np.inf, one, 1.0)
 
 
 class TestUncertainties:
