@@ -95,27 +95,74 @@ def median_bandwidth(X, Y) -> float:
             f"sample dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
     if len(X) + len(Y) < 2:
         raise ValueError("median_bandwidth needs at least 2 points")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise ValueError("median_bandwidth needs finite samples")
+    _check_finite(X, Y)
     s = -(-(len(X) + len(Y)) // _SCREEN_ROWS)
     pool = np.concatenate([X[::s], Y[::s]], axis=0)
-    n, d = pool.shape
-    sq = np.einsum("ij,ij->i", pool, pool)
-    left, right = np.ones((n, d + 2)), np.ones((d + 2, n))
-    left[:, :d], left[:, d] = pool, sq
-    right[:d], right[d + 1] = pool.T * -2.0, sq
-    # Rounding of the screen and of pdist relative to the squared norms, plus
-    # underflowing products; overflowing norms give no bound.
-    top = 8.0 * sq.max()
-    tol = 2.0 * (d + 2) * _EPS * top + 8.0 * (d + 1) * _TINY if top < np.inf else np.inf
-    D = (left @ right).ravel()
+    square, sq = _screen(pool)
+    return _median_of_screen(pool, square.ravel(), sq, _block_pairs([(0, 0, 0, len(pool))]))
 
-    # The square holds every pair twice and n zero self-pairs, so pair rank
-    # r is square rank n + 2r.  A sample, its stride prime to n to reach
-    # every column, places the window [a, b] around the middle ranks.
-    flat = np.flatnonzero(~(D > tol))
-    flat = flat[flat // n != flat % n]
-    zeros = flat.size - np.count_nonzero(_sq_dists(pool, flat))
+
+def _check_finite(*samples) -> None:
+    if not all(np.isfinite(a).all() for a in samples):
+        raise ValueError("median_bandwidth needs finite samples")
+
+
+def _screen(pool):
+    """The pool's distance square in ad.mmd's Gram form, and its squared norms."""
+    sq = ad.sq_norms(pool)
+    return ad.gram_dists(pool, pool.T.copy(), sq, sq), sq
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _median_bank(x, y, D, sq, layout) -> tuple[float, ...]:
+    """The median-scaled bank from ad.mmd's own distances D of [x; y], laid
+    out in blocks as layout lists them."""
+    s2 = _median_of_screen(np.concatenate([x, y]), D, sq, _block_pairs(layout))
+    return tuple(s2 * f for f in BANK_FACTORS)
+
+
+def _block_pairs(blocks):
+    """pairs(flat) -> pool rows (i, j) of the flat positions of a screen made
+    of row-major blocks (start, first row, first column, width)."""
+    start, row, col, width = (np.array(v) for v in zip(*blocks))
+
+    def pairs(flat):
+        k = np.searchsorted(start, flat, side="right") - 1
+        i, j = np.divmod(flat - start[k], width[k])
+        return i + row[k], j + col[k]
+
+    return pairs
+
+
+def _screen_tol(sq, d: int) -> float:
+    """Bound on |screen - pdist| over the pairs of a pool with squared norms sq.
+
+    With M = max|x|^2 and every rounding counted as at most eps relative: the
+    screen's norms are gemv sums of d products (each within d eps M), fl(2a.b)
+    is within 2d eps M, and its two adds round values up to 2M and 4M; pdist's
+    (a - b)^2, summed in order, is within about 4(d + 2) eps M of the exact
+    distance.  The gap is thus about 8(d + 2) eps M, pdist's own rounding
+    included, and tol = 16(d + 2) eps M doubles it, which also absorbs M
+    being a rounded norm.  Roundings that underflow lose up to one smallest
+    subnormal each, fewer than 8(d + 1) per pair; an eightfold M that
+    overflows gives no bound (inf).
+    """
+    top = 8.0 * sq.max()
+    return 2.0 * (d + 2) * _EPS * top + 8.0 * (d + 1) * _TINY if top < np.inf else np.inf
+
+
+def _median_of_screen(pool, D, sq, pairs) -> float:
+    """median_bandwidth's selection over a screen D of all n^2 ordered pairs
+    of the pool, D[f] screening the pair pairs(f)."""
+    n = len(pool)
+    tol = _screen_tol(sq, pool.shape[1])
+
+    # D holds every pair twice and n zero self-pairs, so pair rank r is
+    # screen rank n + 2r.  A sample, its stride prime to n to reach every
+    # column of a square, places the window [a, b] around the middle ranks.
+    p, q = pairs(np.flatnonzero(~(D > tol)))
+    off = p != q
+    zeros = np.count_nonzero(off) - np.count_nonzero(_sq_dists(pool, p[off], q[off]))
     m = n * (n - 1) // 2 - zeros // 2
     if m == 0:
         return 1.0
@@ -146,7 +193,7 @@ def median_bandwidth(X, Y) -> float:
     # The middles lie in [lo + tol, hi - tol]: pairs screened below lo and
     # exact values below lo + tol lie below them.
     count, keep = _split(vals, lo, hi)
-    exact = _sq_dists(pool, flat[keep])
+    exact = _sq_dists(pool, *pairs(flat[keep]))
     below_exact, inside = _split(exact, lo + tol, hi - tol)
     middle = np.sort(exact[inside])
     below += count + below_exact
@@ -162,12 +209,11 @@ def _split(v, lo, hi):
     return below, np.flatnonzero(~out)
 
 
-def _sq_dists(pool, flat):
-    """pdist's bits for pairs (flat // n, flat % n): squares summed in order."""
-    i, j = np.divmod(flat, len(pool))
-    out = np.zeros(flat.size)   # zero-column samples stay at zero
+def _sq_dists(pool, i, j):
+    """pdist's bits for the pairs (i, j) of pool rows: squares summed in order."""
+    out = np.zeros(i.size)   # zero-column samples stay at zero
     step = ad.BLOCK_FLOATS // max(1, pool.shape[1])
-    for s in range(0, flat.size if pool.shape[1] else 0, step):
+    for s in range(0, i.size if pool.shape[1] else 0, step):
         diff = pool[i[s:s + step]] - pool[j[s:s + step]]
         out[s:s + step] = np.add.accumulate(diff * diff, axis=1)[:, -1]
     return out
@@ -184,8 +230,13 @@ def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:
     """
     X = X if isinstance(X, ad.Tensor) else ad.constant(_as_matrix(X))
     Y = Y if isinstance(Y, ad.Tensor) else ad.constant(_as_matrix(Y))
-    if bank is None:
-        bank = KernelBank.median_scaled(X.data, Y.data)
+    if bank is not None:
+        bandwidths = bank.bandwidths
+    elif len(_as_matrix(X)) + len(_as_matrix(Y)) > _SCREEN_ROWS:
+        bandwidths = KernelBank.median_scaled(X.data, Y.data).bandwidths
+    else:   # the median from the distances ad.mmd computes anyway
+        _check_finite(X.data, Y.data)
+        bandwidths = _median_bank
 
     # Canonical argument order (shape, then content) makes the float
     # summation sequence identical for (X, Y) and (Y, X).
@@ -194,7 +245,7 @@ def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:
     if ky < kx:
         X, Y = Y, X
 
-    return ad.mmd(X, Y, bank.bandwidths)
+    return ad.mmd(X, Y, bandwidths)
 
 
 def augmented_embedding(z, p: NigOutput, aug_weight: float = 1.0) -> ad.Tensor:

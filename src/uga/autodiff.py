@@ -721,7 +721,23 @@ def lstm(x, layers: Sequence[tuple]) -> Tensor:
 
 # -- fused multi-kernel MMD --------------------------------------------------
 
-def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
+def sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared row norms of a (rows, d) array as a (rows, 1) column: the
+    squares summed by one matrix-vector product with a ones column."""
+    return (a * a) @ np.ones((a.shape[1], 1))
+
+
+def gram_dists(a, bt, sqa, sqb, out=None) -> np.ndarray:
+    """Squared distances |a_i|^2 + |b_j|^2 - 2 a_i.b_j between the rows of a
+    and the columns of bt, from the squared norms sqa (rows, 1) and sqb
+    (cols, 1), written into out when given (a C-ordered array keeps the bits
+    of a fresh product)."""
+    dist = np.matmul(a, bt, out=out)
+    dist *= 2.0
+    return np.subtract(sqa + sqb.T, dist, out=dist)
+
+
+def mmd(x, y, bandwidths: Sequence[float] | Callable) -> Tensor:
     """Biased squared MMD between sample sets x (n, d) and y (m, d) with
     Gaussian kernels exp(-|u - v|^2 / (2 s2)), averaged over the bandwidths
     s2, as a single tape node.
@@ -739,6 +755,16 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
     block runs in row chunks of BLOCK_FLOATS entries through one buffer,
     adding up their column sums: the bits differ only for blocks of several
     chunks.
+
+    bandwidths may instead be a function bank(x, y, D, sq, layout) that
+    returns them.  The call then writes its xy, yy and xx distance blocks
+    (gram_dists) into one buffer D of (n + m)^2 floats, copies the xy block
+    transposed into the yx block, and hands the function the samples, D,
+    the squared norms of [x; y] (sq_norms) and D's layout: the blocks xx,
+    xy, yx and yy, each row-major as (start in D, first row of [x; y],
+    first column, width).  Every block then takes its kernels from its part
+    of D in one piece, without row chunks, so this form suits small pools
+    only: it holds all (n + m)^2 distances even under no_grad.
     """
     x, y = _as_tensor(x), _as_tensor(y)
     if x.data.ndim != 2 or y.data.ndim != 2 or x.data.shape[1] != y.data.shape[1]:
@@ -747,29 +773,39 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
     n, m = x.data.shape[0], y.data.shape[0]
     if n < 1 or m < 1:
         raise ShapeError("mmd needs at least one sample per set")
+    record = _grad_enabled and (x.requires_grad or y.requires_grad)
+    sqx, sqy = sq_norms(x.data), sq_norms(y.data)
+    xt, yt = x.data.T.copy(), y.data.T.copy()
+    # (a, b^T, |a|^2, |b|^2) per block, in backward order: xy, yy, xx.
+    blocks = ((x.data, yt, sqx, sqy), (y.data, yt, sqy, sqy), (x.data, xt, sqx, sqx))
+    dists = None
+    if callable(bandwidths):
+        # The distances of [x; y] as row-major blocks xx, xy, yx, yy, each
+        # (start in D, first row, first column, width).
+        layout = ((0, 0, 0, n), (n * n, 0, n, m), (n * n + n * m, n, 0, n),
+                  (n * n + 2 * n * m, n, n, m))
+        D = np.empty((n + m) ** 2)
+        xx, xy, yx, yy = (D[start:start + rows * width].reshape(rows, width)
+                          for (start, _, _, width), rows in zip(layout, (n, n, m, m)))
+        dists = (xy, yy, xx)
+        for (a, bt, sqa, sqb), out in zip(blocks, dists):
+            gram_dists(a, bt, sqa, sqb, out=out)
+        yx[...] = xy.T
+        bandwidths = bandwidths(x.data, y.data, D, np.concatenate([sqx, sqy]), layout)
     if not bandwidths or any(not s2 > 0 for s2 in bandwidths):
         raise ValueError("mmd needs at least one positive bandwidth")
-    record = _grad_enabled and (x.requires_grad or y.requires_grad)
     coefs = np.array([-1.0 / (2.0 * s2) for s2 in bandwidths])
-    col = np.ones((x.data.shape[1], 1))
-    sqx = (x.data * x.data) @ col
-    sqy = (y.data * y.data) @ col
-    # (a, b, |a|^2, |b|^2) per block, in backward order: xy, yy, xx.
-    blocks = ((x.data, y.data, sqx, sqy), (y.data, y.data, sqy, sqy),
-              (x.data, x.data, sqx, sqx))
 
     means = []     # per block: the bandwidths' kernel means
-    cache = []     # per block: (b^T, kernel stack) when recorded
-    for a, b, sqa, sqb in blocks:
-        bt = b.T.copy()
-        rows, cols = a.shape[0], b.shape[0]
-        step = rows if record else max(1, BLOCK_FLOATS // cols)
+    cache = []     # per block: the kernel stack when recorded
+    for block, (a, bt, sqa, sqb) in enumerate(blocks):
+        rows, cols = a.shape[0], bt.shape[1]
+        step = rows if record or dists else max(1, BLOCK_FLOATS // cols)
         buf = None if record else np.empty(min(step, rows) * cols)
         sums = [None] * len(coefs)   # per bandwidth: (1, cols) column sums
         for start in range(0, rows, step):
-            dist = a[start:start + step] @ bt
-            dist *= 2.0
-            np.subtract(sqa[start:start + step] + sqb.T, dist, out=dist)
+            dist = dists[block] if dists else gram_dists(
+                a[start:start + step], bt, sqa[start:start + step], sqb)
             if record:   # the bank's kernels in one stack, kept for backward
                 kernels = np.multiply(dist, coefs[:, None, None])
                 np.exp(kernels, out=kernels)
@@ -782,7 +818,7 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
                 sums[i] = part if sums[i] is None else sums[i] + part
         inv = 1.0 / (rows * cols)
         means.append([(s @ np.ones((cols, 1))).reshape(()) * inv for s in sums])
-        cache.append((bt, kernels) if record else None)
+        cache.append(kernels if record else None)
     acc = None
     for mxy, myy, mxx in zip(*means):
         term = (mxx + myy) - mxy * 2.0
@@ -799,20 +835,23 @@ def mmd(x, y, bandwidths: Sequence[float]) -> Tensor:
             else:
                 grads[t] += contribution
 
-        for i, ((a, b, _, _), (bt, kernels), ta, tb) in enumerate(
+        for i, ((a, bt, _, _), kernels, ta, tb) in enumerate(
                 zip(blocks, cache, (x, y, x), (y, y, x))):
             if not (ta.requires_grad or tb.requires_grad):
                 continue
+            b = tb.data
             rows, cols = a.shape[0], b.shape[0]
             # d(out)/d(kernel sum): the xy means enter the bank sum as -2 mean
             v = (g_term if i else (-g_term) * 2.0) * (1.0 / (rows * cols))
-            # Bandwidth-weighted kernels, summed last bandwidth first, in a
-            # scratch stack: the cached kernels stay as they are.
-            weighted = kernels * v
-            weighted *= coefs[:, None, None]
-            gd = weighted[-1]
-            for t in weighted[-2::-1]:
-                gd += t
+            # Bandwidth-weighted kernels (k v) c, summed last bandwidth first
+            # through one scratch array: the cached kernels stay as they are.
+            gd = np.multiply(kernels[-1], v)
+            gd *= coefs[-1]
+            scratch = np.empty_like(gd)
+            for k, c in zip(kernels[-2::-1], coefs[-2::-1]):
+                np.multiply(k, v, out=scratch)
+                scratch *= c
+                gd += scratch
             g_sqa = (np.ones((1, cols)) @ gd.T).T
             g_sqb = (np.ones((rows, 1)).T @ gd).T
             g_cross = np.multiply(np.negative(gd, out=gd), 2.0, out=gd)

@@ -48,9 +48,11 @@ class TrainConfig:
 
     Training uses Adam with the single learning rate lr.  clip_norm bounds
     the global gradient norm; null in JSON disables clipping.  With
-    alignment on, a batch_size above 128 thins the pool of source and target
-    rows the MMD bandwidth is taken from (see median_bandwidth), and one that
-    is not a multiple of 8 makes results depend on the BLAS thread count
+    alignment on, the MMD bandwidth comes from the MMD's own distances for
+    batches of up to 128 per side; a batch_size above 128 runs
+    median_bandwidth's standalone screen, which thins the pool of source and
+    target rows the bandwidth is taken from.  A batch_size above 128 that is
+    not a multiple of 8 makes results depend on the BLAS thread count
     (OpenBLAS rounds one input-gradient product differently per thread count
     at those sizes); smaller batches and multiples of 8 do not.
     """

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 import scipy.spatial.distance
 
+from uga import alignment
 from uga import autodiff as ad
 from uga import gradcheck as gc
 from uga.alignment import (
+    BANK_FACTORS,
     KernelBank,
     augmented_embedding,
     median_bandwidth,
@@ -472,6 +474,101 @@ class TestFusedMmd:
             ad.mmd(np.zeros((3, 2)), np.zeros((3, 2)), ())
         with pytest.raises(ValueError):
             ad.mmd(np.zeros((3, 2)), np.zeros((3, 2)), (1.0, 0.0))
+
+
+class TestFusedBandwidth:
+    """mmd2_biased without a bank, on pools of up to 256 rows, takes the
+    median from ad.mmd's own distance square: value and both gradients have
+    the bits of the explicit median_scaled bank."""
+
+    @staticmethod
+    def run(X, Y, bank=None, same=False):
+        x = ad.param(X)
+        y = x if same else ad.param(Y)
+        out = mmd2_biased(x, y, bank)
+        ad.backward(out * 0.37)
+        return out.data, x.grad, None if same else y.grad
+
+    @classmethod
+    def assert_bits(cls, X, Y, same=False):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cls.run(X, Y, same=same)
+            want = cls.run(X, Y, KernelBank.median_scaled(X, X if same else Y), same=same)
+        TestFusedMmd.assert_bits(got, want)
+
+    @pytest.fixture
+    def banks(self, monkeypatch):
+        """The banks the fused path chose, in call order."""
+        chosen = []
+        real = alignment._median_bank
+
+        def recording(*args):
+            chosen.append(real(*args))
+            return chosen[-1]
+
+        monkeypatch.setattr(alignment, "_median_bank", recording)
+        return chosen
+
+    @pytest.mark.parametrize("d", [1, 3, 20, 132])
+    def test_training_pools(self, banks, d):
+        rng = np.random.default_rng(89 + d)
+        X, Y = TestScreenedMedian.pools(rng, SCREEN_ROWS, d)
+        self.assert_bits(X, Y)
+        Y[:7] = X[:7]  # cross-domain duplicates
+        X[3:6] = X[2]
+        self.assert_bits(X, Y)
+        self.assert_bits(np.round(X), np.round(Y))  # grid rows, ties at the middle
+        self.assert_bits(np.full_like(X, 0.3), np.full_like(Y, 0.3))
+        assert len(banks) == 4
+        assert banks[-1] == KernelBank.median_scaled([[0.0]], [[1.0]]).bandwidths
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-161, 1e-158])
+    def test_squares_underflow(self, scale):
+        rng = np.random.default_rng(97)
+        for d in (1, 3, 20):
+            X, Y = TestScreenedMedian.pools(rng, 40, d)
+            self.assert_bits(X * scale, Y * scale)
+
+    @pytest.mark.parametrize("spread", [1e152, 1e160])
+    def test_squared_norms_overflow(self, spread):
+        rng = np.random.default_rng(101)
+        for d in (1, 3, 20):
+            X, Y = TestScreenedMedian.pools(rng, 40, d)
+            X, Y = 1e160 + X * spread, 1e160 + Y * spread
+            self.assert_bits(X, Y)
+            Y[:5] = X[:5]
+            self.assert_bits(X, Y)
+
+    def test_same_samples_and_single_rows(self, banks):
+        rng = np.random.default_rng(109)
+        X, Y = rng.normal(size=(128, 5)), rng.normal(loc=0.5, size=(128, 5))
+        self.assert_bits(X, X, same=True)
+        self.assert_bits(X, X.copy())
+        for a, b in ((X[:1], Y), (X, Y[:1]), (X[:1], Y[:1])):
+            self.assert_bits(a, b)
+        assert len(banks) == 5
+
+    @pytest.mark.parametrize("spread", [1e-9, 1e-6])
+    def test_tight_pools_take_pdists_median(self, banks, spread):
+        # Two 128-row pools around one point: the bandwidth has pdist's bits.
+        # (The MMD value itself loses its precision on such pools.)
+        rng = np.random.default_rng(113)
+        centre = np.array([0.01, 1.0, 1e-5])
+        X = centre + spread * rng.normal(size=(128, 3))
+        Y = centre + spread * rng.normal(size=(128, 3))
+        self.assert_bits(X, Y)
+        want = np.float64(median_bandwidth_ref(X, Y))
+        assert np.float64(banks[0][BANK_FACTORS.index(1.0)]).tobytes() == want.tobytes()
+
+    def test_larger_pools_take_the_standalone_median(self, banks):
+        rng = np.random.default_rng(127)
+        self.assert_bits(rng.normal(size=(130, 3)), rng.normal(size=(127, 3)))
+        assert banks == []
+
+    def test_nonfinite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                mmd2_biased([[0.0], [bad]], [[1.0]])
 
 
 class TestAugmentedEmbedding:

@@ -10,10 +10,17 @@ import numpy as np
 import pytest
 
 import uga
+from uga import alignment
 from uga import autodiff as ad
 from uga import train as tr
 from uga.alignment import AlignmentKind
-from uga.data import LabeledSet, SyntheticShiftSpec, make_cubic_shift_pair
+from uga.data import (
+    LabeledSet,
+    SyntheticShiftSpec,
+    gen_battery_curves,
+    make_cubic_shift_pair,
+    windows_to_set,
+)
 from uga.evidential import evidential_loss
 from uga.models import MlpSpec, SeqEncoderSpec, model_forward, seq_forward
 
@@ -109,6 +116,56 @@ class TestAdamStep:
             return p
 
         np.testing.assert_array_equal(run(), run())
+
+
+class TestBandwidthRouting:
+    """Training pools take their bandwidth inside ad.mmd: median_bandwidth's
+    standalone screen only runs for pools above 256 rows, which it thins."""
+
+    @pytest.fixture
+    def no_screen(self, monkeypatch):
+        def refuse(pool):
+            raise AssertionError("the standalone screen ran")
+
+        monkeypatch.setattr(alignment, "_screen", refuse)
+
+    @pytest.mark.parametrize("kind", [AlignmentKind.UGA_FEATURE,
+                                      AlignmentKind.UGA_POSTERIOR])
+    def test_cubic_arms_at_batch_128(self, no_screen, kind):
+        src, tgt = tiny_domains(n=256)
+        cfg = tr.TrainConfig(alignment=kind, iterations=3, batch_size=128,
+                             lr=3e-3, aug_weight=32.0, clip_norm=0.5)
+        _bundle, history = tr.train_uga(
+            src, tgt, cfg, MlpSpec(layer_widths=(1, 128, 128), dropout_p=0.0))
+        assert [r.iteration for r in history] == [1, 2, 3]
+        assert all(r.alignment > 0.0 for r in history)
+
+    def test_stacked_battery_feature_arm(self, no_screen):
+        src = windows_to_set(gen_battery_curves(-20.0, 1, seed=500, capacity_ah=0.2), 100, 5)
+        tgt = windows_to_set(gen_battery_curves(25.0, 1, seed=700, capacity_ah=0.2), 100, 5)
+        cfg = tr.TrainConfig(alignment=AlignmentKind.UGA_FEATURE, iterations=3,
+                             batch_size=32, lr=3e-3, lambda_evi=0.1,
+                             aug_weight=32.0, clip_norm=0.5)
+        _bundle, history = tr.train_uga(
+            src, tgt.unlabeled(), cfg,
+            SeqEncoderSpec(num_layers=1, hidden_dim=16, input_dim=3, window_len=100))
+        assert all(r.alignment > 0.0 for r in history)
+
+    def test_evaluation_pool_is_thinned_and_screened(self, monkeypatch):
+        pools = []
+        real = alignment._screen
+
+        def recording(pool):
+            pools.append(pool.shape)
+            return real(pool)
+
+        monkeypatch.setattr(alignment, "_screen", recording)
+        rng = np.random.default_rng(131)
+        X, Y = rng.normal(size=(2000, 3)), rng.normal(loc=0.5, size=(2000, 3))
+        with ad.no_grad():
+            alignment.mmd2_biased(X, Y)
+        # stride ceil(4000 / 256) = 16 keeps 125 + 125 rows
+        assert pools == [(250, 3)]
 
 
 class TestTrainConfig:
