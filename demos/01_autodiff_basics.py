@@ -67,5 +67,6 @@ for step in range(400):
         print(f"step {step:3d}  mse {mse.item():.5f}")
 
 with ad.no_grad():
-    final = ad.mean((forward(xs) - ad.constant(ys)) ** 2).item()
+    err = forward(xs) - ad.constant(ys)
+    final = ad.mean(err * err).item()
 print("final mse       ", round(final, 5))

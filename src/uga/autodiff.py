@@ -23,10 +23,9 @@ import numpy as np
 
 __all__ = [
     "Tensor", "ShapeError", "DomainError", "no_grad", "constant", "param",
-    "add", "sub", "mul", "div", "pow", "exp", "log", "tanh",
-    "sigmoid", "softplus", "abs", "sum", "mean", "add_row",
-    "concat", "slice_last", "slice_rows", "matmul", "transpose", "reshape",
-    "lgamma", "nig", "nig_nll", "lstm", "mmd", "backward", "ones", "zeros",
+    "add", "sub", "mul", "exp", "log", "tanh", "sigmoid", "softplus", "abs",
+    "sum", "mean", "add_row", "concat", "slice_last", "slice_rows", "matmul",
+    "transpose", "lgamma", "nig", "nig_nll", "lstm", "mmd", "backward", "ones",
 ]
 
 class ShapeError(ValueError):
@@ -122,12 +121,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __pow__(self, exponent):
-        return pow(self, exponent)
-
 
 def constant(data) -> Tensor:
     """Leaf tensor that never receives gradients."""
@@ -141,10 +134,6 @@ def param(data) -> Tensor:
 
 def ones(*shape) -> Tensor:
     return Tensor(np.ones(shape))
-
-
-def zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape))
 
 
 def _as_tensor(x) -> Tensor:
@@ -201,38 +190,6 @@ def mul(a, b) -> Tensor:
         )
 
     return Tensor._from_op(a.data * b.data, (a, b), backward_fn)
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise(a, b)
-    if np.any(b.data == 0.0):
-        raise ZeroDivisionError("division by zero tensor element")
-    out = a.data / b.data
-
-    def backward_fn(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * out / b.data, b.data.shape),
-        )
-
-    return Tensor._from_op(out, (a, b), backward_fn)
-
-
-def pow(a, exponent: float) -> Tensor:
-    a = _as_tensor(a)
-    p = float(exponent)
-    if p != int(p):
-        if np.any(a.data <= 0.0):
-            raise DomainError("fractional power requires strictly positive base")
-    elif p < 0 and np.any(a.data == 0.0):
-        raise ZeroDivisionError("negative power of zero")
-    out = a.data ** p
-
-    def backward_fn(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return Tensor._from_op(out, (a,), backward_fn)
 
 
 # -- elementwise nonlinearities ----------------------------------------------
@@ -498,17 +455,6 @@ def transpose(a) -> Tensor:
         return (g.T.copy(),)
 
     return Tensor._from_op(a.data.T.copy(), (a,), backward_fn)
-
-
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"cannot reshape size {a.data.size} into {shape}")
-
-    def backward_fn(g):
-        return (g.reshape(a.data.shape),)
-
-    return Tensor._from_op(a.data.reshape(shape).copy(), (a,), backward_fn)
 
 
 # -- fused evidential head and loss -------------------------------------------

@@ -305,32 +305,37 @@ def write_vector_csv(path, inputs, labels=None) -> None:
         writer.writerows([[repr(v) for v in row] for row in table.tolist()])
 
 
-def _text_lines(f):
-    """The lines of the text file f; a decode error names the file."""
+def _csv_rows(f):
+    """The non-blank rows of the CSV text file f as (row number, fields).
+    Rows are numbered from 1, the header; blank lines are not rows but
+    count.  A byte that is not UTF-8 and a malformed row, such as a field
+    over the csv module's size limit, raise ValueError naming the file."""
+    k = 0
     try:
-        yield from f
+        for k, row in enumerate(csv.reader(f), start=1):
+            if row:
+                yield k, row
     except UnicodeDecodeError as e:
         raise ValueError(f"{f.name}: not UTF-8 text: {e}") from None
+    except csv.Error as e:
+        raise ValueError(f"{f.name}: row {k + 1}: {e}") from None
 
 
 def read_vector_csv(path):
     """Inverse of write_vector_csv.  Returns (inputs, labels-or-None)."""
     with open(path, newline="") as f:
-        reader = csv.reader(_text_lines(f))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: vector CSV is empty") from None
-        has_label = bool(header) and header[-1] == "y"
+        reader = _csv_rows(f)
+        header = next(reader, (1, None))[1]
+        if header is None:
+            raise ValueError(f"{path}: vector CSV is empty")
+        has_label = header[-1] == "y"
         feat = header[:-1] if has_label else header
         if feat != [f"x{j}" for j in range(len(feat))]:
             raise ValueError(f"{path}: unexpected vector CSV header {header!r}")
         if not feat:
             raise ValueError(f"{path}: vector CSV has no feature columns")
         rows = []
-        for k, row in enumerate(reader, start=2):
-            if not row:   # blank lines are not data rows but count in k
-                continue
+        for k, row in reader:
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {k}: expected {len(header)} fields")
             try:
@@ -354,9 +359,9 @@ def ingest_battery_csv(path) -> list[np.recarray]:
     1-second bucket).  Every row is checked; each series is one record
     array (see SERIES_FIELDS) of the rows the downsampling keeps."""
     with open(path, newline="") as f:
-        reader = csv.reader(_text_lines(f))
+        reader = _csv_rows(f)
         # The last of repeated names wins, as in csv.DictReader.
-        position = {name: k for k, name in enumerate(next(reader, []))}
+        position = {name: k for k, name in enumerate(next(reader, (1, []))[1])}
         for col in CSV_COLUMNS:
             if col not in position:
                 raise ValueError(f"{path}: battery CSV is missing column {col!r}")
@@ -364,8 +369,7 @@ def ingest_battery_csv(path) -> list[np.recarray]:
         width = max(cols) + 1
         blocks: list[tuple[str, list]] = []
         tag = last_t = None
-        # Blank lines are not data rows, but they count in row numbers.
-        for row_no, row in ((k, row) for k, row in enumerate(reader, start=2) if row):
+        for row_no, row in reader:
             try:
                 if len(row) < width:
                     raise ValueError(f"{len(row)} fields, the header names {width}")

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .alignment import mmd2_biased, posterior_vector
-from .data import LabeledSet, _text_lines
+from .data import LabeledSet, _csv_rows
 from .evidential import NigOutput, predictive_interval, uncertainties
 from .models import CHECKPOINT_VERSION, ModelBundle, model_forward
 
@@ -207,12 +207,11 @@ def read_metrics_csv(path) -> list[dict]:
     count and each metric cell must be empty or a finite number; errors
     name the file and the row."""
     with open(path, newline="") as f:
-        reader = csv.reader(_text_lines(f))
-        header = tuple(next(reader, ()))
+        reader = _csv_rows(f)
+        header = tuple(next(reader, (1, ()))[1])
         if header != METRICS_COLUMNS:
             raise ValueError(f"{path}: unexpected metrics header {header}")
-        # Blank lines are not data rows, but they count in row numbers.
-        numbered = [(k, row) for k, row in enumerate(reader, start=2) if row]
+        numbered = list(reader)
     for row_no, row in numbered:
         try:
             if len(row) != len(header):

@@ -238,13 +238,22 @@ def train_uga(source: LabeledSet, target: np.ndarray, cfg: TrainConfig,
               model_spec) -> tuple[ModelBundle, list[HistoryRow]]:
     """Run the full loop on labeled source data and an array of target
     inputs; returns the trained bundle and per-iteration history
-    (supervised loss, alignment loss, lambda)."""
+    (supervised loss, alignment loss, lambda).  A nan or an infinity in the
+    source, or in the target of an aligned arm, is refused before training
+    with the array's name and the first bad row."""
     if len(source) == 0:
         raise ValueError("empty source set")
     target = np.asarray(target, dtype=np.float64)
     needs_target = cfg.alignment is not AlignmentKind.NONE
     if needs_target and len(target) == 0:
         raise ValueError("adaptation run needs a non-empty target set")
+    inputs = {"source inputs": source.inputs, "source labels": source.labels}
+    if needs_target:
+        inputs["target inputs"] = target
+    for name, array in inputs.items():
+        bad = ~np.isfinite(array).reshape(len(array), -1).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{name}: non-finite value in row {int(bad.argmax())}")
 
     _free_one_mapped_block()
     bundle = build_bundle(model_spec, seed=cfg.seed)

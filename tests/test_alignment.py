@@ -354,7 +354,7 @@ def _mean_kernel(D, sigma2):
     n, m = D.shape
     k = ad.exp(D * (-1.0 / (2.0 * sigma2)))
     total = ad.matmul(ad.matmul(ad.ones(1, n), k), ad.ones(m, 1))
-    return ad.reshape(total, ()) * (1.0 / (n * m))
+    return ad.sum(total) * (1.0 / (n * m))
 
 
 def mmd_tape(X, Y, bandwidths):

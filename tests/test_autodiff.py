@@ -42,10 +42,6 @@ class TestForwardPrimitives:
         out = t * 2.0 + 1.0
         np.testing.assert_array_equal(out.data, np.arange(6.0).reshape(2, 3) * 2 + 1)
 
-    def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            ad.div(ad.constant(1.0), ad.constant(np.array([1.0, 0.0])))
-
     def test_log_domain(self):
         with pytest.raises(ad.DomainError):
             ad.log(ad.constant(np.array([1.0, -1.0])))
@@ -375,9 +371,9 @@ def _random_composition(rng):
             elif op == 2:
                 pool.append(ad.tanh(pick()) * ad.sigmoid(pick()))
             elif op == 3:
-                pool.append(pick() / positive(pick()))
+                pool.append(ad.add_row(pick(), ad.slice_rows(pick(), 1, 2)))
             elif op == 4:
-                pool.append(ad.pow(positive(pick()), 0.5))
+                pool.append(pick() * ad.sum(ad.softplus(pick())))
             elif op == 5:
                 pool.append(ad.exp(ad.tanh(pick())))
             elif op == 6:
@@ -392,7 +388,7 @@ def _random_composition(rng):
                 pool.append(ad.slice_last(ad.concat([pick(), pick()]), 1, 3))
             else:
                 pool.append(ad.transpose(pick()) * scalar)
-        out = ad.reshape(ad.concat([ad.tanh(t) for t in pool[-3:]]), (12,))
+        out = ad.concat([ad.tanh(t) for t in pool[-3:]])
         anchor = ad.mean(pool[0]) + ad.mean(pool[1]) + ad.mean(pool[2])
         return ad.mean(out) * ad.sigmoid(scalar) + 0.1 * anchor
 
@@ -413,6 +409,28 @@ def test_random_compositions_match_finite_differences():
         err = gc.compare(frozen, leaves)
         worst = max(worst, err)
     assert worst < 1e-5
+
+
+# Names in __all__ that record no node of their own (leaves, the engine) and
+# the fused ops that the evidential, mmd and model suites cover; `ones` stays
+# public only for the benchmark's tests.
+_NOT_IN_PRIMITIVES = {"Tensor", "ShapeError", "DomainError", "no_grad", "constant",
+                      "param", "backward", "ones", "nig", "nig_nll", "lstm", "mmd"}
+
+
+def test_primitives_suite_reaches_every_op(monkeypatch):
+    reached = set()
+
+    def counted(name, op):
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return op(*args, **kwargs)
+        return wrapper
+
+    for name in set(ad.__all__) - _NOT_IN_PRIMITIVES:
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    assert gc.suite_primitives(0) < 1e-5
+    assert sorted(set(ad.__all__) - _NOT_IN_PRIMITIVES - reached) == []
 
 
 def test_determinism_bit_identical():

@@ -512,12 +512,19 @@ def _train_on_source(text):
     return build
 
 
-def _eval_on_empty_data(tmp, data, blocker):
-    (tmp / "empty.csv").write_text("")
-    run = run_train(tmp, data)
-    return ["eval", "--checkpoint", str(run / "checkpoint.bin"),
-            "--data", str(tmp / "empty.csv"), "--out", str(tmp / "m.csv"),
-            "--task", "t", "--method", "m"]
+def _eval_on_data(name, text):
+    """`uga eval` of a fresh checkpoint on a data CSV `name` holding `text`."""
+    def build(tmp, data, blocker):
+        (tmp / name).write_text(text)
+        run = run_train(tmp, data)
+        return ["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                "--data", str(tmp / name), "--out", str(tmp / "m.csv"),
+                "--task", "t", "--method", "m"]
+    return build
+
+
+# One field over the csv module's size limit, 131,072 characters.
+_HUGE_FIELD = "1" * 131_073
 
 
 def _datagen_argv(tmp, kind, *flags):
@@ -625,12 +632,20 @@ _EXIT_2_PROBES = [
      _train_on_source("x0,y\n0.0,0.5\n1.0,oops\n")),
     ("train_source_bad_header", "{tmp}/bad.csv: unexpected vector CSV header",
      _train_on_source("a,y\n0.0,0.5\n")),
-    ("eval_data_empty", "{tmp}/empty.csv: vector CSV is empty\n", _eval_on_empty_data),
+    ("eval_data_empty", "{tmp}/empty.csv: vector CSV is empty\n",
+     _eval_on_data("empty.csv", "")),
     # A byte that is not UTF-8 is a format error naming the file.
     ("train_source_not_utf8", "{tmp}/bad.csv: not UTF-8 text: 'utf-8' codec can't "
      "decode byte 0xff in position 13: invalid start byte\n",
      _train_on_source("x0,y\n0.0,0.5\n\udcff\n")),
     ("report_not_utf8", "{tmp}/m.csv: not UTF-8 text: ", _report_on_row("t,m,0,\udcff")),
+    # A field too large for the csv module is a format error naming the row.
+    ("train_source_huge_field", "{tmp}/bad.csv: row 3: field larger than field limit",
+     _train_on_source(f"x0,y\n0.0,0.5\n{_HUGE_FIELD},0.5\n")),
+    ("eval_data_huge_field", "{tmp}/huge.csv: row 2: field larger than field limit",
+     _eval_on_data("huge.csv", f"x0,y\n{_HUGE_FIELD},0.5\n")),
+    ("report_huge_field", "{tmp}/m.csv: row 2: field larger than field limit",
+     _report_on_row(f"t,m,0,{_HUGE_FIELD},,,,")),
 ]
 
 

@@ -23,6 +23,7 @@ from uga.data import (
     write_battery_csv,
     write_vector_csv,
 )
+from uga.metrics import METRICS_COLUMNS, read_metrics_csv
 
 
 def fake_series(n, tag="UDDS", hz=1.0):
@@ -547,3 +548,19 @@ class TestVectorCsv:
         with pytest.raises(ValueError, match="non-finite") as err:
             read_vector_csv(path)
         assert str(path) in str(err.value) and "row 3" in str(err.value)
+
+
+# One field over the csv module's size limit of 131,072 characters, in the
+# second data row after a blank line, through each CSV reader.
+@pytest.mark.parametrize("reader,header,row", [
+    (read_vector_csv, "x0,y", "{},0.5"),
+    (ingest_battery_csv, ",".join(uga_data.CSV_COLUMNS), "1,3.5,1,25,0.9,{}"),
+    (read_metrics_csv, ",".join(METRICS_COLUMNS), "t,m,0,{},,,,"),
+], ids=["vector", "battery", "metrics"])
+def test_csv_error_names_file_and_row(tmp_path, reader, header, row):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"{header}\n{row.format(0)}\n\n{row.format('1' * 131_073)}\n")
+    with pytest.raises(ValueError) as err:
+        reader(path)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{path}: row 4: field larger than field limit (131072)"

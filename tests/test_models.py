@@ -408,8 +408,8 @@ def _affine_ref(x, W, b):
 
 def _lstm_layer_ref(steps, Wx, Wh, b, hidden):
     batch = steps[0].shape[0]
-    h = ad.zeros(batch, hidden)
-    c = ad.zeros(batch, hidden)
+    h = ad.constant(np.zeros((batch, hidden)))
+    c = ad.constant(np.zeros((batch, hidden)))
     out = []
     for x_t in steps:
         pre = _affine_ref(x_t, Wx, b) + ad.matmul(h, Wh)

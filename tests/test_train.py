@@ -373,6 +373,39 @@ class TestTrainLoop:
             tr.train_uga(src, np.zeros((0, 1)), self.cfg(),
                          self.spec())
 
+    @pytest.mark.parametrize("where,alignment,message", [
+        ("inputs", AlignmentKind.NONE, "source inputs: non-finite value in row 7"),
+        ("labels", AlignmentKind.NONE, "source labels: non-finite value in row 7"),
+        ("target", AlignmentKind.UGA_FEATURE, "target inputs: non-finite value in row 7"),
+        ("target", AlignmentKind.UGA_POSTERIOR, "target inputs: non-finite value in row 7"),
+    ])
+    def test_nonfinite_input_refused_before_training(self, monkeypatch, where,
+                                                     alignment, message):
+        src, tgt = tiny_domains()
+        bad = {"inputs": src.inputs, "labels": src.labels, "target": tgt}[where]
+        bad[7], bad[9] = np.nan, np.inf
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_bundle ran on non-finite inputs")
+
+        monkeypatch.setattr(tr, "build_bundle", no_build)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tr.train_uga(src, tgt, self.cfg(alignment=alignment), self.spec())
+
+    def test_nonfinite_target_ignored_without_alignment(self):
+        src, tgt = tiny_domains()
+        tgt[3] = np.nan
+        _b, hist = tr.train_uga(src, tgt, self.cfg(alignment=AlignmentKind.NONE,
+                                                   iterations=3), self.spec())
+        assert len(hist) == 3
+
+    def test_nonfinite_window_refused(self):
+        src, tgt = tiny_windows()
+        src.inputs[4, 5, 1] = np.nan
+        spec = SeqEncoderSpec(num_layers=1, hidden_dim=3, input_dim=2, window_len=6)
+        with pytest.raises(ValueError, match="^source inputs: non-finite value in row 4$"):
+            tr.train_uga(src, tgt, self.cfg(), spec)
+
 
 # Two iterations of the feature arm at the acceptance width: 128 features plus
 # the 4 NIG columns make a 132-wide augmented embedding, the shape at which a

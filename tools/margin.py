@@ -18,12 +18,12 @@ seeds 0-4 and the held-out seeds 5-9, and reports:
 
 Data, model, config and evaluation come from the acceptance file itself, so
 the protocol and the gate cannot drift apart.  k = 0 on seeds 0-4 is the
-gate.  BLAS runs on one thread.
+gate.
 
-    python3 tools/margin.py [--jobs 2]
+    python3 tools/margin.py
 
-It trains 150 models of 800 iterations: about ten minutes with two
-processes on a 2-core x86 machine.
+It trains 150 models of 800 iterations in two spawned processes, BLAS on
+one thread in each: about ten minutes on a 2-core x86 machine.
 """
 
 import os
@@ -32,7 +32,6 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse
 import concurrent.futures
 import multiprocessing
 import pathlib
@@ -84,18 +83,11 @@ def _verdict(ratio, bound):
     return f"{ratio:.3f} {'<=' if ratio <= bound else '> '} {bound:.1f}"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="worker processes (default 2)")
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-
+def main():
     seeds = range(2 * CUBIC_SEEDS)
     runs = [(m, k, s) for m in ARMS for k in NUDGES for s in seeds]
     spawn = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(args.jobs, mp_context=spawn) as pool:
+    with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn) as pool:
         results = dict(zip(runs, pool.map(run, *zip(*runs))))
     mae = {r: v[0] for r, v in results.items()}
     gap = {r: v[1] for r, v in results.items()}
