@@ -36,7 +36,7 @@ class DomainError(ValueError):
     """Input values fall outside the operation's mathematical domain."""
 
 
-# Floats per chunk: unrecorded mmd rows, median_bandwidth's screen, lstm's BPTT.
+# Floats per chunk: unrecorded mmd rows per bandwidth, median screen, lstm BPTT.
 BLOCK_FLOATS = 1 << 16
 
 _node_ids = itertools.count()
@@ -359,12 +359,6 @@ def mean(a) -> Tensor:
     return Tensor._from_op(np.mean(a.data), (a,), backward_fn)
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    # A ones-row product, not np.sum: np.sum rounds differently, and these
-    # bits reach every bias gradient.
-    return np.ones((1, a.shape[0])) @ a
-
-
 def add_row(a, row) -> Tensor:
     """Add the (1, d) `row` to every row of the (n, d) tensor `a`."""
     a, row = _as_tensor(a), _as_tensor(row)
@@ -373,7 +367,9 @@ def add_row(a, row) -> Tensor:
                          f"got {a.data.shape} and {row.data.shape}")
 
     def backward_fn(g):
-        return g, _column_sums(g) if row.requires_grad else None
+        # A ones-row product, not np.sum: np.sum rounds differently, and these
+        # bits reach every bias gradient.
+        return g, (np.ones((1, g.shape[0])) @ g) if row.requires_grad else None
 
     return Tensor._from_op(a.data + row.data, (a, row), backward_fn)
 
@@ -696,11 +692,11 @@ def mmd(x, y, bandwidths: Sequence[float] | Callable) -> Tensor:
     gradients added last bandwidth first, and the input gradients added
     block by block (xy, yy, xx), each block as the cross term, its
     transpose, then the squared norms of its right and left operand, each
-    added twice.  A recorded call keeps each block's kernels in one
-    (bandwidths, rows, cols) stack that backward only reads; otherwise each
-    block runs in row chunks of BLOCK_FLOATS entries through one buffer,
-    adding up their column sums: the bits differ only for blocks of several
-    chunks.
+    added twice.  Each block's kernels are one (bandwidths, rows, cols)
+    stack per row chunk, and the chunks' column sums add up: a recorded
+    call takes the block whole and keeps its stack for backward to read;
+    an unrecorded one takes max(1, BLOCK_FLOATS // cols) rows at a time,
+    so the bits differ only for blocks of several chunks.
 
     bandwidths may instead be a function bank(x, y, D, sq, layout) that
     returns them.  The call then writes its xy, yy and xx distance blocks
@@ -708,9 +704,9 @@ def mmd(x, y, bandwidths: Sequence[float] | Callable) -> Tensor:
     transposed into the yx block, and hands the function the samples, D,
     the squared norms of [x; y] (sq_norms) and D's layout: the blocks xx,
     xy, yx and yy, each row-major as (start in D, first row of [x; y],
-    first column, width).  Every block then takes its kernels from its part
-    of D in one piece, without row chunks, so this form suits small pools
-    only: it holds all (n + m)^2 distances even under no_grad.
+    first column, width).  The kernels come from D by the same chunk rule;
+    D holds all (n + m)^2 distances even under no_grad, so this form suits
+    small pools only.
     """
     x, y = _as_tensor(x), _as_tensor(y)
     if x.data.ndim != 2 or y.data.ndim != 2 or x.data.shape[1] != y.data.shape[1]:
@@ -746,29 +742,19 @@ def mmd(x, y, bandwidths: Sequence[float] | Callable) -> Tensor:
     cache = []     # per block: the kernel stack when recorded
     for block, (a, bt, sqa, sqb) in enumerate(blocks):
         rows, cols = a.shape[0], bt.shape[1]
-        step = rows if record or dists else max(1, BLOCK_FLOATS // cols)
-        buf = None if record else np.empty(min(step, rows) * cols)
-        sums = [None] * len(coefs)   # per bandwidth: (1, cols) column sums
+        step = rows if record else max(1, BLOCK_FLOATS // cols)
+        sums = None   # (bandwidths, 1, cols) column sums
         for start in range(0, rows, step):
-            dist = dists[block] if dists else gram_dists(
+            dist = dists[block][start:start + step] if dists else gram_dists(
                 a[start:start + step], bt, sqa[start:start + step], sqb)
-            if record:   # the bank's kernels in one stack, kept for backward
-                kernels = np.multiply(dist, coefs[:, None, None])
-                np.exp(kernels, out=kernels)
-            for i, c in enumerate(coefs):
-                k = kernels[i] if record else np.multiply(
-                    dist, c, out=buf[:dist.size].reshape(dist.shape))
-                if not record:
-                    np.exp(k, out=k)
-                part = np.ones((1, k.shape[0])) @ k
-                sums[i] = part if sums[i] is None else sums[i] + part
-        inv = 1.0 / (rows * cols)
-        means.append([(s @ np.ones((cols, 1))).reshape(()) * inv for s in sums])
+            kernels = np.multiply(dist, coefs[:, None, None])
+            np.exp(kernels, out=kernels)
+            part = np.ones((1, dist.shape[0])) @ kernels
+            sums = part if sums is None else sums + part
+        means.append((sums @ np.ones((cols, 1))).ravel() * (1.0 / (rows * cols)))
         cache.append(kernels if record else None)
-    acc = None
-    for mxy, myy, mxx in zip(*means):
-        term = (mxx + myy) - mxy * 2.0
-        acc = term if acc is None else acc + term
+    mxy, myy, mxx = means   # per bandwidth; the terms add up in bank order
+    acc = np.add.accumulate((mxx + myy) - mxy * 2.0)[-1]
     out = np.asarray(acc * (1.0 / len(coefs)))
 
     def backward_fn(g):

@@ -22,7 +22,7 @@ from .metrics import (MetricsRow, build_report_table, evaluate,
                       fingerprint_array, fingerprint_file, read_metrics_csv,
                       write_manifest, write_metrics_csv, write_report_csv)
 from .models import MlpSpec, load_checkpoint, save_checkpoint
-from .train import HISTORY_COLUMNS, TrainConfig, train_uga
+from .train import HISTORY_COLUMNS, AlignmentKind, TrainConfig, train_uga
 
 __all__ = ["main"]
 
@@ -138,27 +138,24 @@ def _writing(path):
 
 def _cmd_datagen(args) -> int:
     out = Path(args.out)
-    if args.kind == "battery":
-        try:
+    try:
+        if args.kind == "battery":
             series = gen_battery_curves(args.temp, args.cycles, args.seed,
                                         capacity_ah=args.capacity_ah, hz=args.hz)
-        except ValueError as e:
-            raise UsageError(f"bad datagen flags: {e}") from None
+        else:
+            source, target, bounds = make_cubic_shift_pair(
+                SyntheticShiftSpec(n=args.n, noise_sd=args.noise, seed=args.seed),
+                SyntheticShiftSpec(shift=args.shift, scale=args.scale, n=args.n,
+                                   noise_sd=args.noise, seed=args.seed + 1))
+    except ValueError as e:
+        raise UsageError(f"bad datagen flags: {e}") from None
+    if args.kind == "battery":
         _make_dir(out.parent)
         with _writing(out):
             write_battery_csv(series, out)
         print(f"wrote {sum(len(s) for s in series)} rows to {out}")
         return 0
 
-    try:
-        src_spec = SyntheticShiftSpec(n=args.n, noise_sd=args.noise,
-                                      seed=args.seed)
-        tgt_spec = SyntheticShiftSpec(shift=args.shift, scale=args.scale,
-                                      n=args.n, noise_sd=args.noise,
-                                      seed=args.seed + 1)
-        source, target, bounds = make_cubic_shift_pair(src_spec, tgt_spec)
-    except ValueError as e:
-        raise UsageError(f"bad datagen flags: {e}") from None
     _make_dir(out)
     for name, part in (("source.csv", source), ("target.csv", target)):
         with _writing(out / name):
@@ -188,6 +185,8 @@ def _cmd_train(args) -> int:
         cfg = TrainConfig.from_json(cfg_text)
     except (ValueError, TypeError) as e:
         raise UsageError(f"bad config: {e}") from None
+    if cfg.alignment is not AlignmentKind.NONE and args.target is None:
+        raise UsageError(f"{cfg.alignment.value} alignment needs --target")
 
     source = _load_labeled(args.source)
     if args.target is not None:

@@ -85,6 +85,13 @@ class LabeledSet:
         return self.inputs
 
 
+def _refuse_non_finite(name: str, array) -> None:
+    """Raise ValueError naming the array and its first row holding a nan or an inf."""
+    bad = ~np.isfinite(array).all(axis=tuple(range(1, np.ndim(array))))
+    if bad.any():
+        raise ValueError(f"{name}: non-finite value in row {int(bad.argmax())}")
+
+
 @dataclasses.dataclass(frozen=True)
 class SyntheticShiftSpec:
     """One domain of the cubic family: input x = u*scale + shift for a
@@ -124,13 +131,17 @@ class LabelBounds:
 def gen_cubic_shift(spec: SyntheticShiftSpec) -> LabeledSet:
     """One domain with RAW labels: u ~ U(-4,4), x = u*scale + shift,
     y = u^3/64 + noise.  Normalization is applied separately with the
-    source domain's bounds (see make_cubic_shift_pair)."""
+    source domain's bounds (see make_cubic_shift_pair).  A scale, shift or
+    noise_sd so large that an input or a label overflows raises ValueError."""
     rng = np.random.default_rng(spec.seed)
     u = rng.uniform(-4.0, 4.0, size=spec.n)
-    x = u * spec.scale + spec.shift
-    y = u ** 3 / 64.0
-    if spec.noise_sd > 0:
-        y = y + rng.normal(0.0, spec.noise_sd, size=spec.n)
+    with np.errstate(over="ignore"):
+        x = u * spec.scale + spec.shift
+        y = u ** 3 / 64.0
+        if spec.noise_sd > 0:
+            y = y + rng.normal(0.0, spec.noise_sd, size=spec.n)
+    _refuse_non_finite("generated inputs", x)
+    _refuse_non_finite("generated labels", y)
     return LabeledSet(x.reshape(-1, 1), y)
 
 
@@ -159,8 +170,8 @@ def normalize_labels(source: LabeledSet) -> tuple[LabeledSet, LabelBounds]:
         raise ValueError("empty source set")
     lo = float(np.min(source.labels))
     hi = float(np.max(source.labels))
-    if hi == lo:
-        raise ValueError("degenerate source labels: min equals max")
+    if not 0 < hi - lo < math.inf:
+        raise ValueError(f"source label range [{lo!r}, {hi!r}] is empty or overflows")
     bounds = LabelBounds(lo, hi)
     normalized = LabeledSet(source.inputs,
                             np.clip(bounds.apply(source.labels), 0.0, 1.0))

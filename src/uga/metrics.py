@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .alignment import mmd2_biased, posterior_vector
-from .data import LabeledSet, _csv_rows
+from .data import LabeledSet, _csv_rows, _refuse_non_finite
 from .evidential import NigOutput, predictive_interval, uncertainties
 from .models import CHECKPOINT_VERSION, ModelBundle, model_forward
 
@@ -154,17 +154,20 @@ def evaluate(bundle: ModelBundle, dataset: LabeledSet,
 
     reference_inputs, when given, are inputs from the other domain; the
     posterior_gap is then the squared MMD between the two domains'
-    [nu, alpha, beta] vectors.
-    """
+    [nu, alpha, beta] vectors.  A nan or an infinity in any of the three
+    arrays is refused with the array's name and the first bad row."""
     if len(dataset) == 0:
         raise ValueError("empty evaluation set")
     if reference_inputs is not None and len(reference_inputs) == 0:
         raise ValueError("empty reference set")
+    _refuse_non_finite("dataset inputs", dataset.inputs)
+    _refuse_non_finite("dataset labels", dataset.labels)
     p = _forward_chunks(bundle, dataset.inputs)
     preds = p.gamma.data
     al, ep = uncertainties(p)
     gap = None
     if reference_inputs is not None:
+        _refuse_non_finite("reference inputs", reference_inputs)
         ref = _forward_chunks(bundle, np.asarray(reference_inputs))
         with ad.no_grad():
             gap = mmd2_biased(posterior_vector(p), posterior_vector(ref)).item()

@@ -281,7 +281,10 @@ def load_checkpoint(path) -> ModelBundle:
             raise ValueError(f"corrupt checkpoint: header has no {key!r} line")
     if fields["head"] != "evidential":
         raise ValueError(f"unsupported head {fields['head']!r}")
-    spec = _spec_from_dict(fields["extractor"], json.loads(fields["spec"]))
+    try:
+        spec = _spec_from_dict(fields["extractor"], json.loads(fields["spec"]))
+    except RecursionError:
+        raise ValueError("corrupt checkpoint: spec JSON nests too deeply") from None
     listed = header[5:]
     if fields["params"] != str(len(listed)):
         raise ValueError(f"corrupt checkpoint: params {fields['params']!r} "

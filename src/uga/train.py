@@ -26,7 +26,7 @@ from .alignment import (
     mmd2_biased,
     posterior_vector,
 )
-from .data import LabeledSet
+from .data import LabeledSet, _refuse_non_finite
 from .evidential import NigOutput, evidential_loss
 from .models import ModelBundle, build_bundle, model_forward
 
@@ -100,7 +100,10 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise ValueError("config JSON nests too deeply") from None
         if not isinstance(d, dict):
             raise ValueError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -247,13 +250,10 @@ def train_uga(source: LabeledSet, target: np.ndarray, cfg: TrainConfig,
     needs_target = cfg.alignment is not AlignmentKind.NONE
     if needs_target and len(target) == 0:
         raise ValueError("adaptation run needs a non-empty target set")
-    inputs = {"source inputs": source.inputs, "source labels": source.labels}
+    _refuse_non_finite("source inputs", source.inputs)
+    _refuse_non_finite("source labels", source.labels)
     if needs_target:
-        inputs["target inputs"] = target
-    for name, array in inputs.items():
-        bad = ~np.isfinite(array).reshape(len(array), -1).all(axis=1)
-        if bad.any():
-            raise ValueError(f"{name}: non-finite value in row {int(bad.argmax())}")
+        _refuse_non_finite("target inputs", target)
 
     _free_one_mapped_block()
     bundle = build_bundle(model_spec, seed=cfg.seed)
@@ -267,16 +267,14 @@ def train_uga(source: LabeledSet, target: np.ndarray, cfg: TrainConfig,
     rng_src = np.random.default_rng(ss_src_drop)
     rng_tgt = np.random.default_rng(ss_tgt_drop)
 
-    has_target = len(target) > 0
+    tgt_batch = target   # stays empty without a target: the `none` arm
     history: list[HistoryRow] = []
     for i in range(1, cfg.iterations + 1):
         idx_s = rng_sample.integers(0, len(source), size=cfg.batch_size)
         src_batch = LabeledSet(source.inputs[idx_s], source.labels[idx_s])
-        if has_target:
+        if len(target):
             idx_t = rng_sample.integers(0, len(target), size=cfg.batch_size)
             tgt_batch = target[idx_t]
-        else:
-            tgt_batch = target
 
         p = i / cfg.iterations
         bundle.zero_grad()

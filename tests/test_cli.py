@@ -91,6 +91,18 @@ class TestDatagen:
         assert err.startswith("datagen failed: Unable to allocate ")
         assert err.count("\n") == 1 and not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("flag,value,array", [("--scale", "1e308", "inputs"),
+                                                   ("--noise", "1e308", "labels"),
+                                                   ("--noise", "4e307", "label range")])
+    def test_overflowing_cubic_flags_exit_2_writing_nothing(self, tmp_path, capsys,
+                                                           flag, value, array):
+        capsys.readouterr()
+        assert cli.main(["datagen", "--kind", "cubic", "--out", str(tmp_path / "d"),
+                         flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad datagen flags: ") and array in err
+        assert err.count("\n") == 1 and not (tmp_path / "d").exists()
+
     def test_battery_schema(self, tmp_path):
         out = tmp_path / "cells" / "pack.csv"
         assert cli.main(["datagen", "--kind", "battery", "--out", str(out),
@@ -180,6 +192,15 @@ class TestTrain:
                          "--out-dir", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == \
             "training failed: Unable to allocate 745. GiB for an array\n"
+
+    @pytest.mark.parametrize("alignment", ["uga_feature", "uga_posterior"])
+    def test_aligned_run_without_target_exits_2(self, tmp_path, tiny_data, capsys,
+                                                alignment):
+        config = write_config(tmp_path / "cfg.json", alignment=alignment)
+        capsys.readouterr()
+        assert cli.main(_train_argv(tmp_path, tiny_data, tmp_path / "run", config)) == 2
+        assert capsys.readouterr().err == f"error: {alignment} alignment needs --target\n"
+        assert not (tmp_path / "run").exists()
 
     def test_bad_hidden_flag(self, tmp_path, tiny_data, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -523,6 +544,27 @@ def _eval_on_data(name, text):
     return build
 
 
+# An array nested deeper than the json parser's recursion limit.
+_DEEP_JSON = "[" * 200_000
+
+
+def _deep_config_argv(tmp, data, blocker):
+    """`uga train` with a config that is a deeply nested array."""
+    (tmp / "deep.json").write_text(_DEEP_JSON)
+    return _train_argv(tmp, data, tmp / "run", tmp / "deep.json")
+
+
+def _deep_checkpoint_argv(tmp, data, blocker):
+    """`uga eval` of a checkpoint whose spec line is a deeply nested array."""
+    argv = _eval_argv(tmp, data, blocker, out=tmp / "m.csv")
+    ckpt = tmp / "run" / "checkpoint.bin"
+    lines = ckpt.read_bytes().split(b"\n")
+    spec = next(i for i, l in enumerate(lines) if l.startswith(b"spec "))
+    lines[spec] = b"spec " + _DEEP_JSON.encode()
+    ckpt.write_bytes(b"\n".join(lines))
+    return argv
+
+
 # One field over the csv module's size limit, 131,072 characters.
 _HUGE_FIELD = "1" * 131_073
 
@@ -603,6 +645,14 @@ _EXIT_2_PROBES = [
     ("train_config_null_alignment", "bad config: None is not a valid AlignmentKind\n",
      lambda tmp, data, blocker: _train_argv(
          tmp, data, tmp / "run", write_config(tmp / "null.json", alignment=None))),
+    ("train_config_deep_nesting", "bad config: config JSON nests too deeply\n",
+     _deep_config_argv),
+    ("eval_checkpoint_deep_spec",
+     "bad checkpoint: corrupt checkpoint: spec JSON nests too deeply\n",
+     _deep_checkpoint_argv),
+    ("train_aligned_without_target", "uga_feature alignment needs --target\n",
+     lambda tmp, data, blocker: _train_argv(
+         tmp, data, tmp / "run", write_config(tmp / "cfg.json", alignment="uga_feature"))),
     ("train_target_width_mismatch", "{tmp}/wide.csv: 2 input columns, the source has 1",
      _wide_target_argv),
     ("gradcheck_negative_seed", "--seed must be >= 0",

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ class TestCubicGenerator:
     def test_bad_spec_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SyntheticShiftSpec(**{field: value})
+
+    @pytest.mark.parametrize("spec,message", [
+        (SyntheticShiftSpec(scale=1e308, n=50), "generated inputs: non-finite value in row "),
+        (SyntheticShiftSpec(shift=1.7e308, scale=1e308, n=50), "generated inputs"),
+        (SyntheticShiftSpec(noise_sd=1e308, n=50), "generated labels: non-finite value in row "),
+    ])
+    def test_overflowing_domain_rejected(self, spec, message):
+        # Refused with one ValueError, without numpy's overflow warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                gen_cubic_shift(spec)
+
+    def test_overflowing_label_range_rejected(self):
+        # Finite labels whose max - min overflows would normalize to nan.
+        ds = LabeledSet(np.zeros((2, 1)), [-1e308, 1e308])
+        with pytest.raises(ValueError, match="is empty or overflows"):
+            normalize_labels(ds)
 
     def test_pair_normalization(self):
         src, tgt, bounds = make_cubic_shift_pair(

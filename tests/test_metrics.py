@@ -132,6 +132,19 @@ class TestEvaluate:
             mt.evaluate(trained_stub(), toy_set(),
                         reference_inputs=np.empty((0, 2)))
 
+    @pytest.mark.parametrize("array", ["dataset inputs", "dataset labels",
+                                       "reference inputs"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected_naming_array_and_row(self, array, bad):
+        # An infinite input once gave a finite report through tanh's
+        # saturation; now every array is checked where it enters.
+        ds, ref = toy_set(), toy_set(seed=2).inputs
+        target = {"dataset inputs": ds.inputs, "dataset labels": ds.labels,
+                  "reference inputs": ref}[array]
+        target[6] = bad
+        with pytest.raises(ValueError, match=f"^{array}: non-finite value in row 6$"):
+            mt.evaluate(trained_stub(), ds, reference_inputs=ref)
+
     @pytest.mark.parametrize("n, labels", [(1, [0.3]), (5, [0.3] * 5)])
     def test_undefined_r2_is_none(self, n, labels):
         # one row, or constant labels: R^2 is undefined, the rest is scored
