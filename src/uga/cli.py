@@ -281,7 +281,11 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    results = gc.run_all(seed=args.seed)
+    try:
+        results = gc.run_all(seed=args.seed)
+    except RuntimeError as e:       # a probe worker that ended without a result
+        print(f"gradcheck failed: {e}", file=sys.stderr)
+        return 1
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:<14} error={r.error:.3e}  tol={r.tol:.0e}  {status}")

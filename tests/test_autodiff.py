@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 import scipy.special
@@ -463,3 +466,101 @@ def test_central_difference_restores_leaf_when_f_raises():
         gc.central_difference(f, [leaf])
     assert len(calls) == 2
     assert leaf.data.tobytes() == before
+
+
+@pytest.mark.parametrize("seed", [917, 4282])
+def test_primitives_suite_keeps_off_the_abs_kink(seed):
+    # Each seed draws an entry within 1e-4 of |x + 1.5|'s kink.
+    assert gc.suite_primitives(seed) < 1e-5
+
+
+def test_central_difference_probes_a_transposed_leaf():
+    leaf = ad.param(np.random.default_rng(6).normal(size=(3, 2)).T)
+    assert not leaf.data.flags.c_contiguous
+    (g,) = gc.central_difference(lambda: float(np.sum(leaf.data * leaf.data)), [leaf])
+    np.testing.assert_allclose(g, 2 * leaf.data, rtol=1e-8)
+    assert gc.compare(lambda ls: ad.sum(ls[0] * ls[0]), [leaf]) < 1e-8
+
+
+# The probes split across forked children only where fork exists and a
+# second CPU is available; the tests below check that split.
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+         and len(os.sched_getaffinity(0)) > 1),
+    reason="needs os.fork and a second available CPU")
+
+
+class ChildProbeError(Exception):
+    pass
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The caller's os.fork calls, counted."""
+    calls, real = [], os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def _slow_sum(leaf, fails_in_child, fails_here_after=None):
+    # 20 entries at ~4 ms each: far more than a fork round trip, so the
+    # probes after the first are split between this process and a child.
+    parent, calls = os.getpid(), []
+
+    def f():
+        time.sleep(0.002)
+        calls.append(None)
+        if os.getpid() != parent and fails_in_child:
+            raise ChildProbeError("probe failed in a child")
+        if os.getpid() == parent and fails_here_after == len(calls):
+            raise RuntimeError("probe failed in the caller")
+        return float(np.sum(leaf.data))
+    return f
+
+
+@needs_fork
+def test_run_all_bits_same_in_one_process(monkeypatch, forks):
+    def bits():
+        return [(r.name, r.error.hex(), r.tol.hex()) for r in gc.run_all(seed=0)]
+
+    forked = bits()
+    assert forks
+    monkeypatch.delattr(os, "fork")
+    assert bits() == forked
+
+
+@needs_fork
+def test_lstm_100step_suite_forks(forks):
+    gc.suite_lstm(0, window_len=100)
+    assert 1 <= len(forks) <= len(os.sched_getaffinity(0)) - 1
+
+
+@needs_fork
+def test_child_probe_error_reaches_caller(forks):
+    leaf = ad.param(np.random.default_rng(7).normal(size=(4, 5)))
+    before = leaf.data.tobytes()
+    with pytest.raises(ChildProbeError, match="^probe failed in a child$"):
+        gc.central_difference(_slow_sum(leaf, fails_in_child=True), [leaf])
+    assert forks
+    assert leaf.data.tobytes() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_caller_part_error_wins_and_kills_children(forks):
+    # Both parts fail; the caller's part holds the earlier entries.
+    leaf = ad.param(np.random.default_rng(8).normal(size=(4, 5)))
+    before = leaf.data.tobytes()
+    f = _slow_sum(leaf, fails_in_child=True, fails_here_after=4)
+    with pytest.raises(RuntimeError, match="^probe failed in the caller$"):
+        gc.central_difference(f, [leaf])
+    assert forks
+    assert leaf.data.tobytes() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +13,12 @@ from uga import cli
 from uga.data import ingest_battery_csv, read_vector_csv
 from uga.gradcheck import CheckResult
 from uga.metrics import METRICS_COLUMNS, read_metrics_csv
+
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+         and len(os.sched_getaffinity(0)) > 1),
+    reason="gradcheck forks only where os.fork and a second CPU exist")
 
 
 @pytest.fixture()
@@ -430,6 +438,32 @@ class TestGradcheck:
         monkeypatch.setattr(cli.gc, "run_all", lambda seed=0: fake)
         assert cli.main(["gradcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @needs_fork
+    def test_output_same_in_one_process(self, monkeypatch, capsys):
+        assert cli.main(["gradcheck", "--seed", "0"]) == 0
+        forked = capsys.readouterr()
+        monkeypatch.delattr(os, "fork")
+        assert cli.main(["gradcheck", "--seed", "0"]) == 0
+        assert capsys.readouterr() == forked
+
+    @needs_fork
+    def test_dead_probe_worker_is_one_line(self, monkeypatch, capsys):
+        parent, difference = os.getpid(), cli.gc._difference
+
+        def dies_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return difference(*args)
+
+        monkeypatch.setattr(cli.gc, "_difference", dies_in_child)
+        assert cli.main(["gradcheck", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"gradcheck failed: probe worker \d+ exited with "
+                            r"status 3 without a result\n", captured.err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestReport:

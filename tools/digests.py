@@ -7,7 +7,9 @@ module's namespace, so each run is seen without restating its recipe.  For
 every run it prints one sha256 over the trained parameters (names, shapes
 and bytes), the history rows and the `evaluate` report, then one over all
 of them.  Two trees that print the same lines trained and evaluated every
-gate run to the same bits.
+gate run to the same bits.  A last line holds one sha256 over the
+gradient suites' `run_all(seed=0)`: each suite's name, error (`float.hex`,
+every bit, where `uga gradcheck` prints four digits) and tolerance.
 
     python3 tools/digests.py
 
@@ -36,6 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np
 
 import test_acceptance
+from uga import gradcheck
 
 TASKS = ("cubic", "battery")
 
@@ -95,6 +98,13 @@ def task_lines(task: str) -> list[str]:
     return lines
 
 
+def gradcheck_line() -> str:
+    h = hashlib.sha256()
+    for r in gradcheck.run_all(seed=0):
+        h.update(f"{r.name} {r.error.hex()} {r.tol.hex()}\n".encode())
+    return f"gradcheck seed 0  {h.hexdigest()}"
+
+
 def main() -> int:
     lines = []
     spawn = multiprocessing.get_context("spawn")
@@ -104,6 +114,7 @@ def main() -> int:
             print("\n".join(task_out), flush=True)
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"all {len(lines)} runs  {total}")
+    print(gradcheck_line())
     return 0
 
 
