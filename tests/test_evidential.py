@@ -6,13 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 import uga
 from uga import autodiff as ad
 from uga import gradcheck as gc
 from uga.evidential import (
+    _CORNISH_FISHER_MIN_DF,
+    _T95_DF2,
+    _Z95,
     NigOutput,
+    _t95_cornish_fisher,
+    _t_tail,
     evidential_loss,
     nig_from_raw,
     nll_loss,
@@ -413,6 +419,40 @@ class TestPredictiveInterval:
         assert hi.tobytes() == (gamma + q * scale).tobytes()
 
 
+class TestQuantileBounds:
+    # evaluate's coverage90 decides each label from these bounds on the
+    # quantile stdtrit(df, 0.95), so each must hold stdtrit's value itself,
+    # not just the true one, well inside metrics._RTOL = 1e-9.
+    DF = 2.0 * (1.0 + np.geomspace(1e-12, 5e14 - 1.0, 4000))   # 2(1+1e-12) .. 1e15
+
+    def test_constants_are_the_normal_and_two_df_quantiles(self):
+        assert _Z95 == scipy.special.ndtri(0.95)
+        assert _T95_DF2 == scipy.special.stdtrit(2.0, 0.95)
+
+    def test_normal_and_two_df_quantiles_bound_every_df(self):
+        q = scipy.special.stdtrit(self.DF, 0.95)
+        assert np.all(_Z95 * (1.0 - 1e-12) <= q)
+        assert np.all(q <= _T95_DF2 * (1.0 + 1e-12))
+
+    def test_cornish_fisher_quantile_matches_stdtrit_at_large_df(self):
+        df = self.DF[self.DF >= _CORNISH_FISHER_MIN_DF]
+        q = scipy.special.stdtrit(df, 0.95)
+        assert df.size > 1000
+        assert np.all(np.abs(_t95_cornish_fisher(df) / q - 1.0) < 1e-11)
+
+    def test_tail_at_stdtrit_quantile_is_five_percent(self):
+        df = self.DF[self.DF < _CORNISH_FISHER_MIN_DF]
+        tail = _t_tail(scipy.special.stdtrit(df, 0.95), df)
+        assert df.size > 1000
+        assert np.all(np.abs(tail / 0.05 - 1.0) < 1e-11)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.0, 5.0, 30.0])
+    def test_tail_matches_stdtr(self, t):
+        df = self.DF[self.DF < _CORNISH_FISHER_MIN_DF]
+        tail = _t_tail(np.full(df.size, t), df)
+        assert np.all(np.abs(tail / scipy.special.stdtr(df, -t) - 1.0) < 1e-11)
+
+
 def run_fresh(script):
     """stdout of `script` run in a new interpreter that imports this uga."""
     src_dir = str(Path(uga.__file__).resolve().parents[1])
@@ -449,6 +489,7 @@ import numpy as np
 from uga import gradcheck
 from uga.data import LabeledSet
 from uga.evidential import NigOutput, predictive_interval
+from uga.metrics import evaluate
 from uga.models import MlpSpec
 from uga.train import TrainConfig, train_uga
 rng = np.random.default_rng(0)
@@ -457,11 +498,38 @@ train_uga(source, rng.normal(size=(40, 2)),
           TrainConfig(alignment="uga_posterior", iterations=3, batch_size=16),
           MlpSpec(layer_widths=(2, 8, 4)))
 gradcheck.suite_nll(points=4)
+bundle, _ = train_uga(source, rng.normal(size=(40, 2)),
+                      TrainConfig(alignment="none", iterations=3, batch_size=16),
+                      MlpSpec(layer_widths=(2, 8, 4)))
+evaluate(bundle, source, reference_inputs=rng.normal(size=(30, 2)))
+try:
+    predictive_interval(NigOutput.from_values(0.0, 1.0, 2.0, 1.0), 1.0)
+except ValueError:
+    pass
 print("scipy.special" in sys.modules)
 predictive_interval(NigOutput.from_values(0.0, 1.0, 2.0, 1.0), 0.9)
 print("scipy.special" in sys.modules)
 """
     assert run_fresh(script).split() == ["False", "True"]
+
+
+def test_label_on_an_interval_end_loads_scipy_special():
+    # Labels 0.1% inside and outside their ends are placed by the Student-t
+    # tail; a label exactly on an end lies within every bound's slack, so
+    # only predictive_interval itself can place it.
+    p = NigOutput.from_values([0.5, -1.0], [0.3, 2.0], [1.7, 40.0], [0.8, 0.1])
+    lo, hi = predictive_interval(p, 0.9)
+    near = [float(0.5 + 0.999 * (hi[0] - 0.5)), float(-1.0 + 1.001 * (lo[1] + 1.0))]
+    script = f"""
+import sys
+from uga.evidential import NigOutput
+from uga.metrics import _covered90
+p = NigOutput.from_values([0.5, -1.0], [0.3, 2.0], [1.7, 40.0], [0.8, 0.1])
+print(_covered90(p, {near!r}).tolist(), "scipy.special" in sys.modules)
+edges = [float.fromhex({hi[0].hex()!r}), float.fromhex({lo[1].hex()!r})]
+print(_covered90(p, edges).tolist(), "scipy.special" in sys.modules)
+"""
+    assert run_fresh(script).split("\n")[:2] == ["[True, False] False", "[True, True] True"]
 
 
 def test_package_import_leaves_scipy_spatial_unloaded():

@@ -5,6 +5,7 @@ import pytest
 
 from uga import metrics as mt
 from uga.data import LabeledSet
+from uga.evidential import NigOutput, predictive_interval
 from uga.models import CHECKPOINT_VERSION, MlpSpec, build_bundle
 
 
@@ -76,6 +77,57 @@ class TestCoverage:
     def test_mismatched(self):
         with pytest.raises(ValueError):
             mt.coverage((np.zeros(2), np.zeros(2)), np.zeros(3))
+
+
+def wide_nig(n=6000, seed=79, offset=0.0):
+    # alpha from 1 + 1e-6 to past 1e9: every bound and the fallback run.
+    rng = np.random.default_rng(seed)
+    alpha = 1.0 + rng.exponential(3.0, n) * rng.choice([1e-6, 1.0, 1e3, 1e9], n)
+    return NigOutput.from_values(offset + rng.normal(size=n), rng.uniform(0.1, 5, n),
+                                 alpha, rng.uniform(0.1, 5, n))
+
+
+def edge_labels(lo, hi, seed=3):
+    """Per row, one of: its interval's ends, one ulp either side of them,
+    or a label drawn around it."""
+    rng = np.random.default_rng(seed)
+    mid, half = 0.5 * (lo + hi), hi - lo
+    choices = np.stack([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                        np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+                        mid + half * rng.normal(size=lo.size)])
+    return choices[rng.integers(0, len(choices), lo.size), np.arange(lo.size)]
+
+
+class TestCoveredMatchesPredictiveInterval:
+    # evaluate's coverage90 skips predictive_interval's quantile where a
+    # bound settles a row; every row must get that interval's answer.
+    @pytest.mark.parametrize("offset", [0.0, 1e9])   # 1e9: gamma - y cancels
+    def test_rows_at_and_beside_the_ends(self, offset):
+        p = wide_nig(offset=offset)
+        lo, hi = predictive_interval(p, 0.9)
+        y = edge_labels(lo, hi)
+        assert np.array_equal(mt._covered90(p, y), (y >= lo) & (y <= hi))
+
+    def test_rows_no_bound_settles(self, monkeypatch):
+        nan = lambda *args: np.full(args[-1].shape, np.nan)
+        monkeypatch.setattr(mt, "_t95_cornish_fisher", nan)
+        monkeypatch.setattr(mt, "_t_tail", nan)
+        p = wide_nig(n=500)
+        lo, hi = predictive_interval(p, 0.9)
+        y = edge_labels(lo, hi)
+        assert np.array_equal(mt._covered90(p, y), (y >= lo) & (y <= hi))
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_evaluate_coverage_at_the_ends(self, end, ulps):
+        bundle, ds = trained_stub(), toy_set(n=300)
+        lo, hi = predictive_interval(mt._forward_chunks(bundle, ds.inputs), 0.9)
+        y = lo if end == "lo" else hi
+        if ulps:
+            y = np.nextafter(y, ulps * np.inf)
+        y = np.where(np.arange(y.size) % 3 == 0, ds.labels, y)
+        rep = mt.evaluate(bundle, LabeledSet(ds.inputs, y))
+        assert rep.coverage90 == mt.coverage((lo, hi), y)
 
 
 class TestReportInvariants:

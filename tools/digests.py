@@ -9,7 +9,11 @@ and bytes), the history rows and the `evaluate` report, then one over all
 of them.  Two trees that print the same lines trained and evaluated every
 gate run to the same bits.  A last line holds one sha256 over the
 gradient suites' `run_all(seed=0)`: each suite's name, error (`float.hex`,
-every bit, where `uga gradcheck` prints four digits) and tolerance.
+every bit, where `uga gradcheck` prints four digits) and tolerance.  Then
+one line per fixture says whether its process had loaded `scipy.special`
+after its runs; `evaluate` loads it only for a label its quantile
+bounds cannot place, so `False` means that path never ran on the gate's
+own trained outputs.
 
     python3 tools/digests.py
 
@@ -65,8 +69,9 @@ class _TmpFactory:
         return path
 
 
-def task_lines(task: str) -> list[str]:
-    """Run one fixture ("cubic" or "battery") and return its runs' lines."""
+def task_lines(task: str) -> tuple[list[str], bool]:
+    """Run one fixture ("cubic" or "battery"); return its runs' lines and
+    whether `scipy.special` was loaded after them."""
     lines = []
     trained = []
     train, evaluate = test_acceptance.train_uga, test_acceptance.evaluate
@@ -95,7 +100,7 @@ def task_lines(task: str) -> list[str]:
                 test_acceptance.battery_bench.__wrapped__(_TmpFactory(tmp))
     finally:
         test_acceptance.train_uga, test_acceptance.evaluate = train, evaluate
-    return lines
+    return lines, "scipy.special" in sys.modules
 
 
 def gradcheck_line() -> str:
@@ -106,15 +111,17 @@ def gradcheck_line() -> str:
 
 
 def main() -> int:
-    lines = []
+    lines, loaded = [], []
     spawn = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(len(TASKS), mp_context=spawn) as pool:
-        for task_out in pool.map(task_lines, TASKS):
+        for task, (task_out, special) in zip(TASKS, pool.map(task_lines, TASKS)):
             lines += task_out
+            loaded.append(f"{task:<8} scipy.special loaded  {special}")
             print("\n".join(task_out), flush=True)
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"all {len(lines)} runs  {total}")
     print(gradcheck_line())
+    print("\n".join(loaded))
     return 0
 
 
