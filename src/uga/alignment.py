@@ -90,48 +90,17 @@ def median_bandwidth(X, Y) -> float:
     be zero or meet the middle are recomputed.  Memory does not grow with n.
     """
     X, Y = _as_matrix(X), _as_matrix(Y)
-    if X.shape[1] != Y.shape[1]:
-        raise ad.ShapeError(
-            f"sample dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
     if len(X) + len(Y) < 2:
         raise ValueError("median_bandwidth needs at least 2 points")
-    _check_finite(X, Y)
+    _check_finite("median_bandwidth", X, Y)
     s = -(-(len(X) + len(Y)) // _SCREEN_ROWS)
-    pool = np.concatenate([X[::s], Y[::s]], axis=0)
-    square, sq = _screen(pool)
-    return _median_of_screen(pool, square.ravel(), sq, _block_pairs([(0, 0, 0, len(pool))]))
+    X, Y = X[::s], Y[::s]
+    return _median_of_screen(np.concatenate([X, Y]), *ad.mmd_dists(X, Y))
 
 
-def _check_finite(*samples) -> None:
+def _check_finite(who, *samples) -> None:
     if not all(np.isfinite(a).all() for a in samples):
-        raise ValueError("median_bandwidth needs finite samples")
-
-
-def _screen(pool):
-    """The pool's distance square in ad.mmd's Gram form, and its squared norms."""
-    sq = ad.sq_norms(pool)
-    return ad.gram_dists(pool, pool.T.copy(), sq, sq), sq
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _median_bank(x, y, D, sq, layout) -> tuple[float, ...]:
-    """The median-scaled bank from ad.mmd's own distances D of [x; y], laid
-    out in blocks as layout lists them."""
-    s2 = _median_of_screen(np.concatenate([x, y]), D, sq, _block_pairs(layout))
-    return tuple(s2 * f for f in BANK_FACTORS)
-
-
-def _block_pairs(blocks):
-    """pairs(flat) -> pool rows (i, j) of the flat positions of a screen made
-    of row-major blocks (start, first row, first column, width)."""
-    start, row, col, width = (np.array(v) for v in zip(*blocks))
-
-    def pairs(flat):
-        k = np.searchsorted(start, flat, side="right") - 1
-        i, j = np.divmod(flat - start[k], width[k])
-        return i + row[k], j + col[k]
-
-    return pairs
+        raise ValueError(f"{who} needs finite samples")
 
 
 def _screen_tol(sq, d: int) -> float:
@@ -230,14 +199,6 @@ def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:
     """
     X = X if isinstance(X, ad.Tensor) else ad.constant(_as_matrix(X))
     Y = Y if isinstance(Y, ad.Tensor) else ad.constant(_as_matrix(Y))
-    if bank is not None:
-        bandwidths = bank.bandwidths
-    elif len(_as_matrix(X)) + len(_as_matrix(Y)) > _SCREEN_ROWS:
-        bandwidths = KernelBank.median_scaled(X.data, Y.data).bandwidths
-    else:   # the median from the distances ad.mmd computes anyway
-        _check_finite(X.data, Y.data)
-        bandwidths = _median_bank
-
     # Canonical argument order (shape, then content) makes the float
     # summation sequence identical for (X, Y) and (Y, X).
     kx = (X.shape[0], X.data.tobytes())
@@ -245,7 +206,18 @@ def mmd2_biased(X, Y, bank: KernelBank | None = None) -> ad.Tensor:
     if ky < kx:
         X, Y = Y, X
 
-    return ad.mmd(X, Y, bandwidths)
+    dists = None
+    if bank is not None:
+        bandwidths = bank.bandwidths
+    elif X.shape[0] + Y.shape[0] > _SCREEN_ROWS:
+        bandwidths = KernelBank.median_scaled(X.data, Y.data).bandwidths
+    else:   # the median from the distances ad.mmd reads
+        _check_finite("mmd2_biased", X.data, Y.data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists, sq, pairs = ad.mmd_dists(X.data, Y.data)
+            s2 = _median_of_screen(np.concatenate([X.data, Y.data]), dists, sq, pairs)
+        bandwidths = tuple(s2 * f for f in BANK_FACTORS)
+    return ad.mmd(X, Y, bandwidths, dists)
 
 
 def augmented_embedding(z, p: NigOutput, aug_weight: float = 1.0) -> ad.Tensor:

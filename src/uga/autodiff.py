@@ -679,7 +679,49 @@ def gram_dists(a, bt, sqa, sqb, out=None) -> np.ndarray:
     return np.subtract(sqa + sqb.T, dist, out=dist)
 
 
-def mmd(x, y, bandwidths: Sequence[float] | Callable) -> Tensor:
+def _mmd_operands(x, y):
+    """(a, b^T, |a|^2, |b|^2) of the blocks xy, yy and xx, in backward order."""
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ShapeError(f"expected (n, d) and (m, d) samples, got {x.shape} and {y.shape}")
+    sqx, sqy = sq_norms(x), sq_norms(y)
+    xt, yt = x.T.copy(), y.T.copy()
+    return (x, yt, sqx, sqy), (y, yt, sqy, sqy), (x, xt, sqx, sqx)
+
+
+def _dist_blocks(D, n: int, m: int):
+    """The blocks xx, xy, yx and yy of an mmd_dists buffer D as views, and
+    their layout: per block (start in D, first row of [x; y], first column,
+    rows, width)."""
+    nn, nm = n * n, n * m
+    layout = np.array([(0, 0, 0, n, n), (nn, 0, n, n, m),
+                       (nn + nm, n, 0, m, n), (nn + 2 * nm, n, n, m, m)])
+    return [D[s:s + r * w].reshape(r, w) for s, _, _, r, w in layout], layout
+
+
+def mmd_dists(x: np.ndarray, y: np.ndarray):
+    """(D, sq, pairs): the squared distances of the pool [x; y] as mmd reads
+    them.  D holds the blocks xx, xy, yx and yy, each contiguous and
+    row-major, one after another; xy, yy and xx are mmd's own gram_dists
+    products and yx is xy transposed.  sq holds the squared norms of [x; y]
+    and pairs(flat) the rows (i, j) of [x; y] whose distance is D[flat]."""
+    operands = _mmd_operands(x, y)
+    n, m = len(x), len(y)
+    D = np.empty((n + m) ** 2)
+    (xx, xy, yx, yy), layout = _dist_blocks(D, n, m)
+    for (a, bt, sqa, sqb), out in zip(operands, (xy, yy, xx)):
+        gram_dists(a, bt, sqa, sqb, out=out)
+    yx[...] = xy.T
+    start, row, col, _, width = layout.T
+
+    def pairs(flat):
+        k = np.searchsorted(start, flat, side="right") - 1
+        i, j = np.divmod(flat - start[k], width[k])
+        return i + row[k], j + col[k]
+
+    return D, np.concatenate(operands[0][2:]), pairs
+
+
+def mmd(x, y, bandwidths: Sequence[float], dists=None) -> Tensor:
     """Biased squared MMD between sample sets x (n, d) and y (m, d) with
     Gaussian kernels exp(-|u - v|^2 / (2 s2)), averaged over the bandwidths
     s2, as a single tape node.
@@ -698,42 +740,21 @@ def mmd(x, y, bandwidths: Sequence[float] | Callable) -> Tensor:
     an unrecorded one takes max(1, BLOCK_FLOATS // cols) rows at a time,
     so the bits differ only for blocks of several chunks.
 
-    bandwidths may instead be a function bank(x, y, D, sq, layout) that
-    returns them.  The call then writes its xy, yy and xx distance blocks
-    (gram_dists) into one buffer D of (n + m)^2 floats, copies the xy block
-    transposed into the yx block, and hands the function the samples, D,
-    the squared norms of [x; y] (sq_norms) and D's layout: the blocks xx,
-    xy, yx and yy, each row-major as (start in D, first row of [x; y],
-    first column, width).  The kernels come from D by the same chunk rule;
-    D holds all (n + m)^2 distances even under no_grad, so this form suits
-    small pools only.
+    dists, the buffer mmd_dists(x, y) returns, supplies the blocks instead,
+    read by the same chunk rule; it holds all (n + m)^2 distances even
+    under no_grad, so it suits small pools.
     """
     x, y = _as_tensor(x), _as_tensor(y)
-    if x.data.ndim != 2 or y.data.ndim != 2 or x.data.shape[1] != y.data.shape[1]:
-        raise ShapeError(f"mmd needs (n, d) and (m, d) samples, got "
-                         f"{x.data.shape} and {y.data.shape}")
+    blocks = _mmd_operands(x.data, y.data)
     n, m = x.data.shape[0], y.data.shape[0]
     if n < 1 or m < 1:
         raise ShapeError("mmd needs at least one sample per set")
+    if dists is not None and np.shape(dists) != ((n + m) ** 2,):
+        raise ShapeError(f"mmd needs {(n + m) ** 2} distances, got {np.shape(dists)}")
     record = _grad_enabled and (x.requires_grad or y.requires_grad)
-    sqx, sqy = sq_norms(x.data), sq_norms(y.data)
-    xt, yt = x.data.T.copy(), y.data.T.copy()
-    # (a, b^T, |a|^2, |b|^2) per block, in backward order: xy, yy, xx.
-    blocks = ((x.data, yt, sqx, sqy), (y.data, yt, sqy, sqy), (x.data, xt, sqx, sqx))
-    dists = None
-    if callable(bandwidths):
-        # The distances of [x; y] as row-major blocks xx, xy, yx, yy, each
-        # (start in D, first row, first column, width).
-        layout = ((0, 0, 0, n), (n * n, 0, n, m), (n * n + n * m, n, 0, n),
-                  (n * n + 2 * n * m, n, n, m))
-        D = np.empty((n + m) ** 2)
-        xx, xy, yx, yy = (D[start:start + rows * width].reshape(rows, width)
-                          for (start, _, _, width), rows in zip(layout, (n, n, m, m)))
+    if dists is not None:
+        xx, xy, _, yy = _dist_blocks(dists, n, m)[0]
         dists = (xy, yy, xx)
-        for (a, bt, sqa, sqb), out in zip(blocks, dists):
-            gram_dists(a, bt, sqa, sqb, out=out)
-        yx[...] = xy.T
-        bandwidths = bandwidths(x.data, y.data, D, np.concatenate([sqx, sqy]), layout)
     if not bandwidths or any(not s2 > 0 for s2 in bandwidths):
         raise ValueError("mmd needs at least one positive bandwidth")
     coefs = np.array([-1.0 / (2.0 * s2) for s2 in bandwidths])

@@ -234,6 +234,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     try:
         bundle = load_checkpoint(args.checkpoint)
     except OSError as e:

@@ -48,13 +48,12 @@ class TrainConfig:
 
     Training uses Adam with the single learning rate lr.  clip_norm bounds
     the global gradient norm; null in JSON disables clipping.  With
-    alignment on, the MMD bandwidth comes from the MMD's own distances for
-    batches of up to 128 per side; a batch_size above 128 runs
-    median_bandwidth's standalone screen, which thins the pool of source and
-    target rows the bandwidth is taken from.  A batch_size above 128 that is
-    not a multiple of 8 makes results depend on the BLAS thread count
-    (OpenBLAS rounds one input-gradient product differently per thread count
-    at those sizes); smaller batches and multiples of 8 do not.
+    alignment on, batches of up to 128 per side take the MMD bandwidth from
+    the distances the MMD reads; a larger batch_size takes it from a thinned
+    pool of source and target rows (median_bandwidth).  A batch_size above
+    128 that is not a multiple of 8 makes results depend on the BLAS thread
+    count (OpenBLAS rounds one input-gradient product differently per thread
+    count at those sizes); smaller batches and multiples of 8 do not.
     """
 
     alignment: AlignmentKind = AlignmentKind.NONE
@@ -278,9 +277,12 @@ def train_uga(source: LabeledSet, target: np.ndarray, cfg: TrainConfig,
 
         p = i / cfg.iterations
         bundle.zero_grad()
-        loss, sup_v, align_v = assemble_loss(
-            src_batch, tgt_batch, bundle, cfg, p,
-            training=True, src_rng=rng_src, tgt_rng=rng_tgt)
+        try:
+            loss, sup_v, align_v = assemble_loss(
+                src_batch, tgt_batch, bundle, cfg, p,
+                training=True, src_rng=rng_src, tgt_rng=rng_tgt)
+        except ValueError as e:
+            raise type(e)(f"iteration {i}: {e}") from e
         lam = lambda_schedule(p)
         if not (math.isfinite(sup_v) and math.isfinite(align_v)):
             raise RuntimeError(

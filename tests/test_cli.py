@@ -184,6 +184,23 @@ class TestTrain:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert proc.stderr.startswith("training failed:")
+        assert "iteration" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    def test_overflowing_embedding_names_its_iteration(self, tmp_path, tiny_data):
+        # aug_weight=1e308 overflows the augmented embedding in iteration 1,
+        # before any MMD can be taken.
+        cfg = write_config(tmp_path / "huge_aug.json", alignment="uga_feature",
+                           aug_weight=1e308)
+        proc = subprocess.run(
+            [sys.executable, "-m", "uga.cli", "train", "--config", str(cfg),
+             "--source", str(tiny_data / "source.csv"),
+             "--target", str(tiny_data / "target.csv"),
+             "--out-dir", str(tmp_path / "run")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("training failed: iteration 1: ")
+        assert "finite" in proc.stderr
         assert proc.stderr.count("\n") == 1
 
     def test_out_of_memory_exits_1_with_one_line(self, tmp_path, tiny_data,
@@ -691,6 +708,9 @@ _EXIT_2_PROBES = [
      _wide_target_argv),
     ("gradcheck_negative_seed", "--seed must be >= 0",
      lambda tmp, data, blocker: ["gradcheck", "--seed", "-1"]),
+    ("eval_negative_seed", "--seed must be >= 0",
+     lambda tmp, data, blocker: [*_eval_argv(tmp, data, blocker, out=tmp / "m.csv"),
+                                 "--seed", "-1"]),
     # A directory standing where an output file goes.
     ("datagen_battery_out_is_dir", "cannot write {tmp}: ",
      lambda tmp, data, blocker: ["datagen", "--kind", "battery", "--out", str(tmp),

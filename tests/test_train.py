@@ -119,19 +119,18 @@ class TestAdamStep:
 
 
 class TestBandwidthRouting:
-    """Training pools take their bandwidth inside ad.mmd: median_bandwidth's
-    standalone screen only runs for pools above 256 rows, which it thins."""
+    """Training pools take their bandwidth from the distance buffer ad.mmd
+    reads, so each aligned iteration computes its three distance blocks
+    once; median_bandwidth thins pools above 256 rows before its screen."""
 
-    @pytest.fixture
-    def no_screen(self, monkeypatch):
-        def refuse(pool):
-            raise AssertionError("the standalone screen ran")
-
-        monkeypatch.setattr(alignment, "_screen", refuse)
+    @staticmethod
+    def assert_one_distance_pass(calls, iterations):
+        assert [(c.fused, c.grams_before, c.grams_inside) for c in calls] == \
+            [(True, 3, 0)] * iterations
 
     @pytest.mark.parametrize("kind", [AlignmentKind.UGA_FEATURE,
                                       AlignmentKind.UGA_POSTERIOR])
-    def test_cubic_arms_at_batch_128(self, no_screen, kind):
+    def test_cubic_arms_at_batch_128(self, mmd_calls, kind):
         src, tgt = tiny_domains(n=256)
         cfg = tr.TrainConfig(alignment=kind, iterations=3, batch_size=128,
                              lr=3e-3, aug_weight=32.0, clip_norm=0.5)
@@ -139,8 +138,9 @@ class TestBandwidthRouting:
             src, tgt, cfg, MlpSpec(layer_widths=(1, 128, 128), dropout_p=0.0))
         assert [r.iteration for r in history] == [1, 2, 3]
         assert all(r.alignment > 0.0 for r in history)
+        self.assert_one_distance_pass(mmd_calls, 3)
 
-    def test_stacked_battery_feature_arm(self, no_screen):
+    def test_stacked_battery_feature_arm(self, mmd_calls):
         src = windows_to_set(gen_battery_curves(-20.0, 1, seed=500, capacity_ah=0.2), 100, 5)
         tgt = windows_to_set(gen_battery_curves(25.0, 1, seed=700, capacity_ah=0.2), 100, 5)
         cfg = tr.TrainConfig(alignment=AlignmentKind.UGA_FEATURE, iterations=3,
@@ -150,22 +150,23 @@ class TestBandwidthRouting:
             src, tgt.unlabeled(), cfg,
             SeqEncoderSpec(num_layers=1, hidden_dim=16, input_dim=3, window_len=100))
         assert all(r.alignment > 0.0 for r in history)
+        self.assert_one_distance_pass(mmd_calls, 3)
 
     def test_evaluation_pool_is_thinned_and_screened(self, monkeypatch):
         pools = []
-        real = alignment._screen
+        real = ad.mmd_dists
 
-        def recording(pool):
-            pools.append(pool.shape)
-            return real(pool)
+        def recording(x, y):
+            pools.append((x.shape, y.shape))
+            return real(x, y)
 
-        monkeypatch.setattr(alignment, "_screen", recording)
+        monkeypatch.setattr(ad, "mmd_dists", recording)
         rng = np.random.default_rng(131)
         X, Y = rng.normal(size=(2000, 3)), rng.normal(loc=0.5, size=(2000, 3))
         with ad.no_grad():
             alignment.mmd2_biased(X, Y)
         # stride ceil(4000 / 256) = 16 keeps 125 + 125 rows
-        assert pools == [(250, 3)]
+        assert pools == [((125, 3), (125, 3))]
 
 
 class TestTrainConfig:
